@@ -186,9 +186,10 @@ func BenchmarkEngineGraphRoundSparse(b *testing.B) {
 }
 
 // BenchmarkEngineGraphRoundSparseObserved re-runs the headline n = 10⁷
-// sparse round with an obs.Recorder attached: the price of telemetry on
-// the hottest path. The observer fires once per Step, outside the
-// per-agent loops, so this must track BenchmarkEngineGraphRoundSparse's
+// sparse round through core.Run with an obs.Recorder attached: the price
+// of telemetry on the hottest path, measured on the hook path production
+// runs take. The observer fires once per round, outside the per-agent
+// loops, so this must track BenchmarkEngineGraphRoundSparse's
 // n=10000000 row within the CI overhead budget (≤ 2%, warn-only).
 func BenchmarkEngineGraphRoundSparseObserved(b *testing.B) {
 	const n = 10_000_000
@@ -196,20 +197,27 @@ func BenchmarkEngineGraphRoundSparseObserved(b *testing.B) {
 	e := engine.NewGraphEngineOpts(dynamics.ThreeMajority{}, g,
 		colorcfg.Biased(n, 8, n/100), 4, 17, rng.New(5), engine.GraphOpts{})
 	defer e.Close()
-	if !engine.Observe(e, &obs.Recorder{}) {
-		b.Fatal("graph engine is not observable")
+	rec := &obs.Recorder{}
+	rounds := func(m int) {
+		core.Run(e, core.Options{
+			MaxRounds: m,
+			Stop:      func(colorcfg.Config, int) bool { return false },
+			Rand:      rng.New(6),
+			Observer:  rec,
+		})
 	}
 	// One untimed round absorbs the first-Step warm-up (page faults on
 	// the fresh CSR, the recorder's one-time ring allocation) so the
 	// samples measure the steady state the ≤2% overhead budget is
 	// written against.
-	e.Step(nil)
+	rounds(1)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step(nil)
-	}
+	rounds(b.N)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/agent")
+	if rec.Total() != b.N+1 {
+		b.Fatalf("observer saw %d rounds, want %d", rec.Total(), b.N+1)
+	}
 }
 
 // BenchmarkEngineGraphRoundImplicit measures the zero-materialization

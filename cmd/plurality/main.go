@@ -29,7 +29,6 @@ import (
 	"plurality/internal/obs"
 	"plurality/internal/rng"
 	"plurality/internal/topo"
-	"plurality/internal/trace"
 )
 
 func main() {
@@ -50,13 +49,11 @@ func main() {
 		printRounds = flag.Bool("print-rounds", false, "print the configuration every round")
 		traceFile   = flag.String("trace", "", "write a JSONL telemetry trace (per-round wall time, convergence stats, memory samples; cmd/tracereport renders it) to this file")
 		mPlur       = flag.Int64("m-plurality", -1, "stop at M-plurality consensus instead of full consensus")
-		dumpPath    = flag.String("dump-trajectory", "", "write the per-round trajectory to this CSV file")
-		phases      = flag.Bool("phases", false, "print the Lemma 3/4/5 phase segmentation after the run")
 	)
 	flag.Parse()
 
 	if err := run(*ruleName, *engName, *graphName, *graphMode, *graphFile, *sampler, *n, *k, *biasFlag, *seed,
-		*maxRounds, *advName, *workers, *printRounds, *traceFile, *mPlur, *dumpPath, *phases); err != nil {
+		*maxRounds, *advName, *workers, *printRounds, *traceFile, *mPlur); err != nil {
 		fmt.Fprintln(os.Stderr, "plurality:", err)
 		os.Exit(1)
 	}
@@ -64,11 +61,20 @@ func main() {
 
 func run(ruleName, engName, graphName, graphMode, graphFile, samplerName string, n int64, k int,
 	biasFlag string, seed uint64, maxRounds int, advName string, workers int,
-	printRounds bool, traceFile string, mPlur int64, dumpPath string, phases bool) error {
+	printRounds bool, traceFile string, mPlur int64) error {
 
+	if n < 1 {
+		return fmt.Errorf("-n %d: need at least one agent", n)
+	}
+	if k < 1 {
+		return fmt.Errorf("-k %d: need at least one color", k)
+	}
 	bias, err := parseBias(biasFlag, n, k)
 	if err != nil {
 		return err
+	}
+	if bias < 0 || bias > n {
+		return fmt.Errorf("-bias %d outside [0, n=%d]", bias, n)
 	}
 	init := colorcfg.Biased(n, k, bias)
 
@@ -82,7 +88,7 @@ func run(ruleName, engName, graphName, graphMode, graphFile, samplerName string,
 	} else if ruleName == "2choices-keepown" {
 		eng = engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, init)
 	} else {
-		rule, err := parseRule(ruleName)
+		rule, err := dynamics.ParseRule(ruleName)
 		if err != nil {
 			return err
 		}
@@ -102,32 +108,27 @@ func run(ruleName, engName, graphName, graphMode, graphFile, samplerName string,
 		stop = core.WhenMPlurality(n, mPlur)
 	}
 
-	var rec *trace.Recorder
-	if dumpPath != "" || phases {
-		rec = trace.NewRecorder(n)
-		rec.ObserveInitial(init)
-	}
 	opts := core.Options{
 		MaxRounds: maxRounds,
 		Rand:      r,
 		Adversary: adv,
 		Stop:      stop,
-		TrackBias: true,
 	}
 	var telemetry *obs.Recorder
 	if traceFile != "" {
 		telemetry = &obs.Recorder{}
-		opts.Observer = telemetry // typed pointer assigned only when non-nil
 	}
-	opts.OnRound = func(round int, c colorcfg.Config) {
-		if rec != nil {
-			rec.Observe(round, c)
-		}
-		if printRounds {
-			first, second := c.TopTwo()
-			fmt.Printf("round %5d  top=%d  c1=%d  c2=%d  bias=%d  support=%d\n",
-				round, c.Plurality(), first, second, c.Bias(), c.Support())
-		}
+	if printRounds || telemetry != nil {
+		opts.Observer = obs.ObserverFunc(func(round int, agents, wallNs int64, c colorcfg.Config) {
+			if telemetry != nil {
+				telemetry.ObserveRound(round, agents, wallNs, c)
+			}
+			if printRounds {
+				first, second := c.TopTwo()
+				fmt.Printf("round %5d  top=%d  c1=%d  c2=%d  bias=%d  support=%d\n",
+					round, c.Plurality(), first, second, c.Bias(), c.Support())
+			}
+		})
 	}
 
 	fmt.Printf("engine: %s\n", eng.Name())
@@ -143,20 +144,6 @@ func run(ruleName, engName, graphName, graphMode, graphFile, samplerName string,
 	lambda := core.Lambda(n, k)
 	fmt.Printf("theory: λ=%.3g, predicted O(λ·ln n)=%.0f rounds\n",
 		lambda, core.UpperBoundRounds(n, lambda, 1))
-	if phases && rec != nil {
-		fmt.Printf("\nphase segmentation (Lemmas 3/4/5):\n%s", rec.Summary())
-	}
-	if dumpPath != "" && rec != nil {
-		f, err := os.Create(dumpPath)
-		if err != nil {
-			return fmt.Errorf("dump trajectory: %w", err)
-		}
-		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
-			return fmt.Errorf("dump trajectory: %w", err)
-		}
-		fmt.Printf("trajectory: %d rounds written to %s\n", rec.Len(), dumpPath)
-	}
 	if telemetry != nil {
 		f, err := os.Create(traceFile)
 		if err != nil {
@@ -187,11 +174,6 @@ func parseBias(s string, n int64, k int) (int64, error) {
 		return 0, fmt.Errorf("bad -bias %q: %v", s, err)
 	}
 	return v, nil
-}
-
-// parseRule resolves the shared rule names (see dynamics.ParseRule).
-func parseRule(s string) (dynamics.Rule, error) {
-	return dynamics.ParseRule(s)
 }
 
 func buildEngine(engName, graphName, graphMode, graphFile, samplerName string, rule dynamics.Rule,

@@ -12,6 +12,7 @@ import (
 	"plurality/internal/rng"
 )
 
+// TestParseRule pins the -rule names the CLI accepts.
 func TestParseRule(t *testing.T) {
 	good := map[string]string{
 		"3majority":      "3-majority",
@@ -22,18 +23,18 @@ func TestParseRule(t *testing.T) {
 		"hplurality:7":   "7-plurality",
 	}
 	for in, want := range good {
-		r, err := parseRule(in)
+		r, err := dynamics.ParseRule(in)
 		if err != nil {
-			t.Errorf("parseRule(%q): %v", in, err)
+			t.Errorf("ParseRule(%q): %v", in, err)
 			continue
 		}
 		if r.Name() != want {
-			t.Errorf("parseRule(%q).Name() = %q, want %q", in, r.Name(), want)
+			t.Errorf("ParseRule(%q).Name() = %q, want %q", in, r.Name(), want)
 		}
 	}
 	for _, bad := range []string{"", "nope", "hplurality:", "hplurality:0", "hplurality:x"} {
-		if _, err := parseRule(bad); err == nil {
-			t.Errorf("parseRule(%q) should fail", bad)
+		if _, err := dynamics.ParseRule(bad); err == nil {
+			t.Errorf("ParseRule(%q) should fail", bad)
 		}
 	}
 }
@@ -154,28 +155,61 @@ func TestParseAdversary(t *testing.T) {
 func TestRunEndToEnd(t *testing.T) {
 	// Small end-to-end run through the CLI plumbing (no flags).
 	err := run("3majority", "auto", "complete", "auto", "", "default", 2000, 3, "auto", 1, 10000,
-		"none", 2, false, "", -1, "", false)
+		"none", 2, false, "", -1)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	// Undecided path.
 	err = run("undecided", "auto", "complete", "auto", "", "default", 2000, 3, "500", 1, 10000,
-		"none", 2, false, "", -1, "", false)
+		"none", 2, false, "", -1)
 	if err != nil {
 		t.Fatalf("run undecided: %v", err)
 	}
 	// Keep-own path with adversary and M-plurality stop.
 	err = run("2choices-keepown", "auto", "complete", "auto", "", "default", 2000, 3, "auto", 1, 10000,
-		"strongest:2", 2, false, "", 50, "", true)
+		"strongest:2", 2, true, "", 50)
 	if err != nil {
 		t.Fatalf("run keep-own: %v", err)
 	}
 	// Error paths.
-	if err := run("nope", "auto", "complete", "auto", "", "default", 100, 2, "auto", 1, 10, "none", 1, false, "", -1, "", false); err == nil {
+	if err := run("nope", "auto", "complete", "auto", "", "default", 100, 2, "auto", 1, 10, "none", 1, false, "", -1); err == nil {
 		t.Error("bad rule accepted")
 	}
-	if err := run("3majority", "nope", "complete", "auto", "", "default", 100, 2, "auto", 1, 10, "none", 1, false, "", -1, "", false); err == nil {
+	if err := run("3majority", "nope", "complete", "auto", "", "default", 100, 2, "auto", 1, 10, "none", 1, false, "", -1); err == nil {
 		t.Error("bad engine accepted")
+	}
+}
+
+// TestRunRejectsBadInput: out-of-range sizes and biases fail with an
+// error from run instead of a panic in the configuration builder.
+func TestRunRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int64
+		k    int
+		bias string
+	}{
+		{"zero agents", 0, 3, "auto"},
+		{"negative agents", -5, 3, "10"},
+		{"zero colors", 1000, 0, "auto"},
+		{"negative colors", 1000, -2, "10"},
+		{"bias above n", 1000, 4, "5000"},
+		{"negative bias", 1000, 4, "-1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run("3majority", "auto", "complete", "auto", "", "default", tc.n, tc.k, tc.bias, 1, 10,
+				"none", 1, false, "", -1)
+			if err == nil {
+				t.Fatalf("n=%d k=%d bias=%s accepted", tc.n, tc.k, tc.bias)
+			}
+		})
+	}
+	// The edges of the valid range still run.
+	for _, bias := range []string{"0", "1000"} {
+		if err := run("3majority", "auto", "complete", "auto", "", "default", 1000, 4, bias, 1, 10,
+			"none", 1, false, "", -1); err != nil {
+			t.Errorf("bias %s: %v", bias, err)
+		}
 	}
 }
 
@@ -185,7 +219,7 @@ func TestRunEndToEnd(t *testing.T) {
 func TestRunTraceFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	err := run("3majority", "auto", "complete", "auto", "", "default", 2000, 3, "auto", 1, 10000,
-		"none", 2, false, path, -1, "", false)
+		"none", 2, false, path, -1)
 	if err != nil {
 		t.Fatalf("run with -trace: %v", err)
 	}

@@ -182,10 +182,25 @@ func sweep(ctx context.Context, cfg config, w io.Writer, done map[string]map[int
 	if err != nil {
 		return err
 	}
+	// Out-of-range values would fail or panic inside the pool, after the
+	// CSV header went out; reject them before any output.
+	if cfg.reps < 1 {
+		return fmt.Errorf("-reps %d: need at least one replicate", cfg.reps)
+	}
+	for _, k := range kVals {
+		if k < 1 {
+			return fmt.Errorf("-ks %d: need at least one color", k)
+		}
+	}
+	for _, c := range cVals {
+		if !(c >= 0) {
+			return fmt.Errorf("-cs %g: bias multiplier must be >= 0", c)
+		}
+	}
 
 	rules := make([]dynamics.Rule, 0, len(ruleNames))
 	for _, ruleName := range ruleNames {
-		rule, err := parseRule(strings.TrimSpace(ruleName))
+		rule, err := dynamics.ParseRule(strings.TrimSpace(ruleName))
 		if err != nil {
 			return err
 		}
@@ -484,11 +499,6 @@ func cellSeed(base uint64, name string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	return rng.New(base ^ h.Sum64()).Uint64()
-}
-
-// parseRule resolves the shared rule names (see dynamics.ParseRule).
-func parseRule(s string) (dynamics.Rule, error) {
-	return dynamics.ParseRule(s)
 }
 
 func parseInts(csv string) ([]int64, error) {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"plurality/internal/dynamics"
 	"plurality/internal/mc"
 	"plurality/internal/obs"
 )
@@ -327,15 +328,48 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsOutOfRangeGrid: colour counts below 1, negative or NaN
+// bias multipliers and a replicate count below 1 fail before the sweep
+// writes anything, instead of panicking in a pool worker after the CSV
+// header.
+func TestSweepRejectsOutOfRangeGrid(t *testing.T) {
+	for name, mutate := range map[string]func(*config){
+		"ks 0":    func(c *config) { c.ks = "2,0" },
+		"ks -3":   func(c *config) { c.ks = "-3" },
+		"cs -1":   func(c *config) { c.cs = "1,-1" },
+		"cs NaN":  func(c *config) { c.cs = "NaN" },
+		"reps 0":  func(c *config) { c.reps = 0 },
+		"reps -2": func(c *config) { c.reps = -2 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := testCfg()
+			mutate(&cfg)
+			var buf bytes.Buffer
+			if err := sweep(context.Background(), cfg, &buf, nil); err == nil {
+				t.Fatal("accepted")
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("wrote %q before rejecting the grid", buf.String())
+			}
+		})
+	}
+	cfg := testCfg()
+	cfg.cs = "0"
+	if out := runSweep(t, cfg, nil); !strings.HasPrefix(out, csvHeader) {
+		t.Fatalf("zero bias multiplier rejected or malformed: %q", out)
+	}
+}
+
+// TestParseRule pins the -rules names the sweep accepts.
 func TestParseRule(t *testing.T) {
 	for _, ok := range []string{"3majority", "median", "polling", "2choices", "hplurality:3"} {
-		if _, err := parseRule(ok); err != nil {
-			t.Errorf("parseRule(%q): %v", ok, err)
+		if _, err := dynamics.ParseRule(ok); err != nil {
+			t.Errorf("ParseRule(%q): %v", ok, err)
 		}
 	}
 	for _, bad := range []string{"4majority", "hplurality:0", "hplurality:x", ""} {
-		if _, err := parseRule(bad); err == nil {
-			t.Errorf("parseRule(%q) accepted", bad)
+		if _, err := dynamics.ParseRule(bad); err == nil {
+			t.Errorf("ParseRule(%q) accepted", bad)
 		}
 	}
 }

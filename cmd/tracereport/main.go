@@ -1,8 +1,9 @@
 // Command tracereport renders the JSONL telemetry traces written by
 // plurality -trace, sweep -trace-dir, and pluralityd's
 // GET /v1/jobs/{id}/trace into a human-readable run profile: where the
-// wall time went, how fast the bias drifted, and what the memory
-// high-water was.
+// wall time went, how fast the bias drifted, how the rounds split into
+// the paper's proof phases (Lemma 3 growth, Lemma 4 decay, Lemma 5
+// extinction), and what the memory high-water was.
 //
 //	tracereport run-trace.jsonl
 //	tracereport traces/*.jsonl              # per-run profiles + aggregate
@@ -83,8 +84,9 @@ func run(w io.Writer, paths []string, drift int) error {
 }
 
 // profile prints one run's report: identity, round/wall totals, the
-// ns/agent distribution over the retained rounds, memory, and a sampled
-// drift table showing how the configuration converged.
+// ns/agent distribution over the retained rounds, the phase segments of
+// the retained rounds, memory, and a sampled drift table showing how the
+// configuration converged.
 func profile(w io.Writer, tr obs.Trace, drift int) {
 	h := tr.Header
 	id := make([]string, 0, 7)
@@ -139,6 +141,9 @@ func profile(w io.Writer, tr obs.Trace, drift int) {
 		last := tr.Rounds[len(tr.Rounds)-1]
 		fmt.Fprintf(w, "final:  c_max=%d/%d bias=%d support=%d (round %d)\n",
 			last.CMax, h.N, last.Bias, last.Support, last.Round)
+		if h.N > 0 {
+			printPhases(w, tr.Rounds, h.N)
+		}
 	}
 	if sum.HeapMax > 0 {
 		fmt.Fprintf(w, "memory: heap high-water %s\n", bytesHuman(sum.HeapMax))

@@ -1,8 +1,9 @@
 // Package core orchestrates plurality-consensus processes: it wires an
-// engine, an optional F-bounded adversary, a stopping condition and
-// per-round hooks into a single reproducible run, and exposes the paper's
-// closed-form theory (Lemma 1/2 drift, Theorem 1 / Corollary 1 thresholds,
-// lower-bound predictions) for the experiment harness.
+// engine, an optional F-bounded adversary, a stopping condition and an
+// optional per-round observer into a single reproducible run, and
+// exposes the paper's closed-form theory (Lemma 1/2 drift, Theorem 1 /
+// Corollary 1 thresholds, lower-bound predictions) for the experiment
+// harness.
 //
 // The typical entry point is Run:
 //
@@ -13,6 +14,8 @@
 package core
 
 import (
+	"time"
+
 	"plurality/internal/adversary"
 	"plurality/internal/colorcfg"
 	"plurality/internal/engine"
@@ -85,18 +88,14 @@ type Options struct {
 	// none). Corruption happens after the dynamics step, matching the
 	// two-phase round of Section 3.1.
 	Adversary adversary.Adversary
-	// OnRound is called after every completed round (post-corruption) with
-	// a read-only view of the configuration. It must not retain c.
-	OnRound func(round int, c colorcfg.Config)
 	// Rand drives the run. Required.
 	Rand *rng.Rand
-	// TrackBias records the bias trajectory in Result.BiasTrajectory.
-	TrackBias bool
-	// Observer, if non-nil, is attached to the engine before the first
-	// round and receives per-round telemetry (wall time, post-round
-	// configuration — see obs.Observer). It never touches Rand, so a
-	// seeded run is byte-identical with and without one. Engines that do
-	// not support observation silently ignore it.
+	// Observer, if non-nil, is the run's per-round hook: after every
+	// completed round it receives the round number (1..Rounds), the
+	// agent count, the wall-clock nanoseconds of the engine Step alone,
+	// and the post-corruption configuration — the one Stop and Result
+	// see. It never touches Rand, so a seeded run is byte-identical with
+	// and without one. Detached, it costs one nil check per round.
 	Observer obs.Observer
 }
 
@@ -118,9 +117,6 @@ type Result struct {
 	// WonInitialPlurality is true if the run stopped monochromatic on the
 	// initial plurality color — the paper's success event.
 	WonInitialPlurality bool
-	// BiasTrajectory is the per-round bias s(C(t)) (index 0 = initial),
-	// recorded only when Options.TrackBias is set.
-	BiasTrajectory []int64
 }
 
 // Run drives the engine until the stop condition fires or MaxRounds is
@@ -141,15 +137,9 @@ func Run(e engine.Engine, opts Options) Result {
 	if opts.Adversary != nil {
 		adv = opts.Adversary
 	}
-	if opts.Observer != nil {
-		engine.Observe(e, opts.Observer)
-	}
 
 	initial := e.Config()
 	res := Result{InitialPlurality: initial.Plurality()}
-	if opts.TrackBias {
-		res.BiasTrajectory = append(res.BiasTrajectory, initial.Bias())
-	}
 
 	cur := initial
 	for round := 0; ; round++ {
@@ -162,15 +152,19 @@ func Run(e engine.Engine, opts Options) Result {
 			res.Rounds = round
 			break
 		}
+		// Detached, observation costs this one nil check per round.
+		if opts.Observer == nil {
+			e.Step(opts.Rand)
+			adv.Corrupt(e, opts.Rand)
+			cur = e.Config()
+			continue
+		}
+		began := time.Now()
 		e.Step(opts.Rand)
+		wallNs := time.Since(began).Nanoseconds()
 		adv.Corrupt(e, opts.Rand)
 		cur = e.Config()
-		if opts.TrackBias {
-			res.BiasTrajectory = append(res.BiasTrajectory, cur.Bias())
-		}
-		if opts.OnRound != nil {
-			opts.OnRound(round+1, cur)
-		}
+		opts.Observer.ObserveRound(round+1, e.N(), wallNs, cur)
 	}
 	res.Final = cur
 	res.Winner = cur.Plurality()

@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"plurality/internal/adversary"
 	"plurality/internal/colorcfg"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/obs"
 	"plurality/internal/rng"
 )
 
@@ -56,38 +58,142 @@ func TestRunAlreadyStopped(t *testing.T) {
 	}
 }
 
+// roundLog is an Observer that keeps a copy of every configuration it
+// is handed, with the round numbers it was handed them under.
+type roundLog struct {
+	rounds []int
+	cfgs   []colorcfg.Config
+}
+
+func (l *roundLog) ObserveRound(round int, _ int64, _ int64, c colorcfg.Config) {
+	l.rounds = append(l.rounds, round)
+	l.cfgs = append(l.cfgs, c.Clone())
+}
+
+// TestRunTracksBias follows the bias trajectory through the observer:
+// it grows from the initial bias to n at consensus.
 func TestRunTracksBias(t *testing.T) {
 	init := colorcfg.Biased(20000, 3, 4000)
 	e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
-	res := Run(e, Options{MaxRounds: 500, Rand: rng.New(4), TrackBias: true})
-	if len(res.BiasTrajectory) != res.Rounds+1 {
-		t.Fatalf("trajectory length %d, rounds %d", len(res.BiasTrajectory), res.Rounds)
+	var log roundLog
+	res := Run(e, Options{MaxRounds: 500, Rand: rng.New(4), Observer: &log})
+	if len(log.cfgs) != res.Rounds || res.Rounds == 0 {
+		t.Fatalf("observed %d rounds, run took %d", len(log.cfgs), res.Rounds)
 	}
-	if res.BiasTrajectory[0] != init.Bias() {
-		t.Fatalf("trajectory[0] = %d, want %d", res.BiasTrajectory[0], init.Bias())
+	if first := log.cfgs[0].Bias(); first <= init.Bias() {
+		t.Errorf("bias after round 1 = %d, not above the initial %d", first, init.Bias())
 	}
-	last := res.BiasTrajectory[len(res.BiasTrajectory)-1]
-	if last != 20000 {
+	if last := log.cfgs[len(log.cfgs)-1].Bias(); last != 20000 {
 		t.Fatalf("final bias %d, want n", last)
 	}
 }
 
+// TestRunOnRoundHook pins the per-round hook: the observer fires exactly
+// once per completed round, numbered 1..Rounds, with the agent count and
+// the configuration the Result reports.
 func TestRunOnRoundHook(t *testing.T) {
 	init := colorcfg.Biased(5000, 3, 1500)
 	e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
 	calls := 0
+	var last colorcfg.Config
 	res := Run(e, Options{
 		MaxRounds: 500,
 		Rand:      rng.New(5),
-		OnRound: func(round int, c colorcfg.Config) {
+		Observer: obs.ObserverFunc(func(round int, n, wallNs int64, c colorcfg.Config) {
 			calls++
 			if round != calls {
 				t.Fatalf("round %d on call %d", round, calls)
 			}
-		},
+			if n != 5000 || wallNs < 0 {
+				t.Fatalf("round %d: n=%d wallNs=%d", round, n, wallNs)
+			}
+			last = c
+		}),
 	})
 	if calls != res.Rounds {
 		t.Fatalf("hook called %d times for %d rounds", calls, res.Rounds)
+	}
+	if !reflect.DeepEqual(last, res.Final) {
+		t.Fatalf("last observed %v, final %v", last, res.Final)
+	}
+}
+
+// stepSpy wraps an engine the way callers decorate engines: it embeds
+// engine.Engine and records the configuration each Step leaves behind,
+// before any adversary acts.
+type stepSpy struct {
+	engine.Engine
+	afterStep []colorcfg.Config
+}
+
+func (s *stepSpy) Step(r *rng.Rand) {
+	s.Engine.Step(r)
+	s.afterStep = append(s.afterStep, s.Engine.Config())
+}
+
+// TestRunObserverSeesCorruption: under an adversary the observer is
+// handed the post-corruption configuration — the one Stop and Result
+// see — not the one the dynamics step produced.
+func TestRunObserverSeesCorruption(t *testing.T) {
+	const f = 40
+	spy := &stepSpy{Engine: engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.Biased(50000, 4, 10000))}
+	var log roundLog
+	res := Run(spy, Options{
+		MaxRounds: 30,
+		Rand:      rng.New(6),
+		Adversary: adversary.Strongest{F: f},
+		Observer:  &log,
+	})
+	if res.Rounds != 30 || len(log.cfgs) != 30 || len(spy.afterStep) != 30 {
+		t.Fatalf("rounds=%d observed=%d steps=%d, want 30 each", res.Rounds, len(log.cfgs), len(spy.afterStep))
+	}
+	for i, got := range log.cfgs {
+		pre := spy.afterStep[i]
+		top := pre.Plurality()
+		if got[top] != pre[top]-f || got.N() != pre.N() {
+			t.Fatalf("round %d: observed %v, want %v with %d agents moved off color %d", i+1, got, pre, f, top)
+		}
+	}
+	if !reflect.DeepEqual(log.cfgs[len(log.cfgs)-1], res.Final) {
+		t.Fatalf("last observed %v, final %v", log.cfgs[len(log.cfgs)-1], res.Final)
+	}
+}
+
+// TestRunObservesWrappedEngine: observation is Run's job, so an engine
+// wrapper that embeds engine.Engine is observed like a concrete engine.
+func TestRunObservesWrappedEngine(t *testing.T) {
+	spy := &stepSpy{Engine: engine.NewCliqueSampled(dynamics.ThreeMajority{}, colorcfg.Biased(3000, 3, 900), 1, 9)}
+	defer spy.Close()
+	var log roundLog
+	res := Run(spy, Options{MaxRounds: 1000, Rand: rng.New(7), Observer: &log})
+	if res.Rounds == 0 || len(log.rounds) != res.Rounds {
+		t.Fatalf("wrapped engine: observed %d rounds of %d", len(log.rounds), res.Rounds)
+	}
+	if !reflect.DeepEqual(log.cfgs, spy.afterStep) {
+		t.Fatal("observed configurations differ from the wrapped engine's")
+	}
+}
+
+// TestRunObserverDrawsNoRandomness: attaching an observer leaves the
+// seeded run unchanged, adversary included.
+func TestRunObserverDrawsNoRandomness(t *testing.T) {
+	run := func(o obs.Observer) Result {
+		e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.Biased(20000, 5, 1500))
+		return Run(e, Options{
+			MaxRounds: 2000,
+			Rand:      rng.New(8),
+			Adversary: adversary.Random{F: 5},
+			Stop:      WhenMPlurality(20000, 50),
+			Observer:  o,
+		})
+	}
+	plain := run(nil)
+	var log roundLog
+	if observed := run(&log); !reflect.DeepEqual(plain, observed) {
+		t.Fatalf("observer changed the run:\n plain    %+v\n observed %+v", plain, observed)
+	}
+	if len(log.rounds) != plain.Rounds {
+		t.Fatalf("observed %d rounds of %d", len(log.rounds), plain.Rounds)
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dist"
 	"plurality/internal/dynamics"
-	"plurality/internal/obs"
 	"plurality/internal/rng"
 )
 
@@ -78,7 +77,6 @@ type CliqueMultinomial struct {
 	round int
 	probs []float64
 	next  []int64
-	obs   obs.Observer
 }
 
 // NewCliqueMultinomial builds the exact engine from an initial
@@ -122,16 +120,11 @@ func (e *CliqueMultinomial) Config() colorcfg.Config { return e.cfg.Clone() }
 
 // Step implements Engine: C(t+1) ~ Multinomial(n, p(C(t))).
 func (e *CliqueMultinomial) Step(r *rng.Rand) {
-	began := obs.Began(e.obs)
 	e.model.AdoptionProbs(e.cfg, e.probs)
 	dist.Multinomial(r, e.n, e.probs, e.next)
 	copy(e.cfg, e.next)
 	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
 }
-
-// SetObserver implements Observable.
-func (e *CliqueMultinomial) SetObserver(o obs.Observer) { e.obs = o }
 
 // Repaint implements Engine.
 func (e *CliqueMultinomial) Repaint(from, to Color, m int64) int64 {
@@ -192,7 +185,6 @@ type CliqueSampled struct {
 	alias   *dist.Alias
 	workers []*sampledWorker
 	pool    *workerPool
-	obs     obs.Observer
 }
 
 type sampledWorker struct {
@@ -281,7 +273,6 @@ func (e *CliqueSampled) Config() colorcfg.Config { return e.cfg.Clone() }
 // the rule; the new counts are the sum of per-worker tallies. Steady-state
 // cost is O(n·h) alias draws and zero allocations.
 func (e *CliqueSampled) Step(_ *rng.Rand) {
-	began := obs.Began(e.obs)
 	e.alias.ResetCounts(e.cfg)
 	if e.pool == nil {
 		e.workers[0].run(e.rule, e.alias)
@@ -295,11 +286,7 @@ func (e *CliqueSampled) Step(_ *rng.Rand) {
 		}
 	}
 	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
 }
-
-// SetObserver implements Observable.
-func (e *CliqueSampled) SetObserver(o obs.Observer) { e.obs = o }
 
 // run processes the worker's agent shard. Samples are drawn in batches with
 // SampleMany — one tight loop over the alias table — and then consumed h at

@@ -8,7 +8,6 @@ import (
 	"plurality/internal/dist"
 	"plurality/internal/dynamics"
 	"plurality/internal/graph"
-	"plurality/internal/obs"
 	"plurality/internal/rng"
 	"plurality/internal/topo"
 )
@@ -60,7 +59,6 @@ type GraphEngine struct {
 	loop    *graphLoop
 	workers []*graphWorker
 	pool    *workerPool
-	obs     obs.Observer
 }
 
 // Sampler selects the rng draw discipline of the graph engine's sampling
@@ -334,7 +332,6 @@ func (e *GraphEngine) AppendColors(dst []Color) []Color {
 
 // Step implements Engine.
 func (e *GraphEngine) Step(_ *rng.Rand) {
-	began := obs.Began(e.obs)
 	if e.loop.alias != nil {
 		e.loop.alias.ResetCounts(e.cfg)
 	}
@@ -351,11 +348,7 @@ func (e *GraphEngine) Step(_ *rng.Rand) {
 		}
 	}
 	e.round++
-	observeEnd(e.obs, began, e.round, e.src.N(), e.cfg)
 }
-
-// SetObserver implements Observable.
-func (e *GraphEngine) SetObserver(o obs.Observer) { e.obs = o }
 
 // run processes the worker's vertex shard into bufs.next, dispatching on
 // the engine's sampling plan (see graphLoop).

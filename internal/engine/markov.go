@@ -6,7 +6,6 @@ import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dist"
 	"plurality/internal/dynamics"
-	"plurality/internal/obs"
 	"plurality/internal/rng"
 )
 
@@ -29,7 +28,6 @@ type CliqueMarkov struct {
 	row   []float64
 	draw  []int64
 	next  []int64
-	obs   obs.Observer
 }
 
 // NewCliqueMarkov builds the engine; the rule must implement
@@ -74,7 +72,6 @@ func (e *CliqueMarkov) Config() colorcfg.Config { return e.cfg.Clone() }
 
 // Step implements Engine.
 func (e *CliqueMarkov) Step(r *rng.Rand) {
-	began := obs.Began(e.obs)
 	clear(e.next)
 	for j, cj := range e.cfg {
 		if cj == 0 {
@@ -88,11 +85,7 @@ func (e *CliqueMarkov) Step(r *rng.Rand) {
 	}
 	copy(e.cfg, e.next)
 	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
 }
-
-// SetObserver implements Observable.
-func (e *CliqueMarkov) SetObserver(o obs.Observer) { e.obs = o }
 
 // Repaint implements Engine.
 func (e *CliqueMarkov) Repaint(from, to Color, m int64) int64 {

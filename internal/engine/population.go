@@ -5,7 +5,6 @@ import (
 
 	"plurality/internal/colorcfg"
 	"plurality/internal/dynamics"
-	"plurality/internal/obs"
 	"plurality/internal/rng"
 )
 
@@ -26,7 +25,6 @@ type Population struct {
 	n     int64
 	round int
 	buf   []Color
-	obs   obs.Observer
 }
 
 // NewPopulation builds the sequential engine.
@@ -62,16 +60,11 @@ func (e *Population) Config() colorcfg.Config { return e.cfg.Clone() }
 
 // Step implements Engine: n sequential micro-steps.
 func (e *Population) Step(r *rng.Rand) {
-	began := obs.Began(e.obs)
 	for i := int64(0); i < e.n; i++ {
 		e.MicroStep(r)
 	}
 	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
 }
-
-// SetObserver implements Observable.
-func (e *Population) SetObserver(o obs.Observer) { e.obs = o }
 
 // MicroStep updates a single uniform agent.
 func (e *Population) MicroStep(r *rng.Rand) {

@@ -3,7 +3,6 @@ package engine
 import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dist"
-	"plurality/internal/obs"
 	"plurality/internal/rng"
 )
 
@@ -38,7 +37,6 @@ type UndecidedExact struct {
 	// scratch
 	recruitProbs []float64
 	recruits     []int64
-	obs          obs.Observer
 }
 
 // NewUndecidedExact starts the dynamics from a fully-colored configuration
@@ -79,7 +77,6 @@ func (e *UndecidedExact) UndecidedCount() int64 { return e.undecided }
 // Step implements Engine. All probabilities are computed from the
 // start-of-round state before any count is mutated.
 func (e *UndecidedExact) Step(r *rng.Rand) {
-	began := obs.Began(e.obs)
 	n := float64(e.n)
 	q := e.undecided
 	k := e.cfg.K()
@@ -115,11 +112,7 @@ func (e *UndecidedExact) Step(r *rng.Rand) {
 	}
 	e.undecided = becameUndecided + e.recruits[k]
 	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
 }
-
-// SetObserver implements Observable.
-func (e *UndecidedExact) SetObserver(o obs.Observer) { e.obs = o }
 
 // Repaint implements Engine (corruption among colored agents only).
 func (e *UndecidedExact) Repaint(from, to Color, m int64) int64 {
@@ -142,7 +135,6 @@ type UndecidedPopulation struct {
 	undecided int64
 	n         int64
 	round     int
-	obs       obs.Observer
 }
 
 // NewUndecidedPopulation starts from a fully-colored configuration.
@@ -178,16 +170,11 @@ func (e *UndecidedPopulation) UndecidedCount() int64 { return e.undecided }
 
 // Step implements Engine: n sequential pairwise interactions.
 func (e *UndecidedPopulation) Step(r *rng.Rand) {
-	began := obs.Began(e.obs)
 	for i := int64(0); i < e.n; i++ {
 		e.MicroStep(r)
 	}
 	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
 }
-
-// SetObserver implements Observable.
-func (e *UndecidedPopulation) SetObserver(o obs.Observer) { e.obs = o }
 
 // MicroStep performs a single pairwise interaction.
 func (e *UndecidedPopulation) MicroStep(r *rng.Rand) {

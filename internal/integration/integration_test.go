@@ -13,6 +13,7 @@ import (
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
 	"plurality/internal/graph"
+	"plurality/internal/obs"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
 )
@@ -214,17 +215,22 @@ func TestFullPipelineTrajectoryMonotoneAfterThreshold(t *testing.T) {
 	k := 8
 	init := colorcfg.Biased(n, k, core.Corollary1Bias(n, k, 1.0))
 	e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
-	res := core.Run(e, core.Options{MaxRounds: 1000, Rand: rng.New(3), TrackBias: true})
+	prev, drops := init.Bias(), 0
+	res := core.Run(e, core.Options{
+		MaxRounds: 1000,
+		Rand:      rng.New(3),
+		Observer: obs.ObserverFunc(func(_ int, _, _ int64, c colorcfg.Config) {
+			b := c.Bias()
+			if b < prev {
+				drops++
+			}
+			prev = b
+		}),
+	})
 	if !res.WonInitialPlurality {
 		t.Fatal("did not converge")
 	}
-	drops := 0
-	for i := 1; i < len(res.BiasTrajectory); i++ {
-		if res.BiasTrajectory[i] < res.BiasTrajectory[i-1] {
-			drops++
-		}
-	}
-	if drops > len(res.BiasTrajectory)/10 {
-		t.Errorf("bias dropped in %d/%d rounds despite Cor-1 bias", drops, len(res.BiasTrajectory))
+	if drops > (res.Rounds+1)/10 {
+		t.Errorf("bias dropped in %d/%d rounds despite Cor-1 bias", drops, res.Rounds+1)
 	}
 }

@@ -2,15 +2,20 @@
 // timing, convergence statistics and sampled memory readings for any
 // engine, captured behind a strict zero-cost-when-off contract.
 //
-// The contract has three clauses, all load-bearing:
+// core.Run is the one place rounds are reported: when its Options carry
+// an Observer it times each engine Step, applies the adversary, and
+// hands the post-corruption configuration to ObserveRound. The
+// contract has three clauses, all load-bearing:
 //
-//  1. Detached is free. An engine with no observer pays exactly one
-//     nil-check branch per Step — no time.Now, no allocation, no
-//     indirect call. The engine hot-path budget (TestStepZeroAllocs,
-//     the <50 ns/agent sparse target) is written against this state.
+//  1. Detached is free. A run with no observer pays exactly one
+//     nil-check branch per round in core.Run — no time.Now, no
+//     allocation, no indirect call — and engines pay nothing at all.
+//     The engine hot-path budget (TestStepZeroAllocs, the <50 ns/agent
+//     sparse target) is written against engines that know nothing of
+//     observation.
 //  2. The observer sits outside the per-agent loop. ObserveRound fires
-//     once per completed Step with the post-round configuration; it
-//     never sees (and can never perturb) the inner sampling loops.
+//     once per completed round; it never sees (and can never perturb)
+//     the inner sampling loops.
 //  3. The observer consumes zero rng. Nothing it is handed can reach
 //     the run's generator, so every golden trace stays byte-identical
 //     with an observer attached — certified by
@@ -18,40 +23,46 @@
 //     goldens.
 //
 // Recorder is the standard implementation: a bounded ring of per-round
-// statistics (the trace package's record shape — c_max, c_second, bias,
-// minority_mass, support, plurality — plus wall_ns, ns/agent and
-// sampled runtime.ReadMemStats readings) that serializes to a JSONL
-// trace (jsonl.go) consumed by cmd/tracereport and served by
-// pluralityd's GET /v1/jobs/{id}/trace. Recorder.ObserveRound performs
-// zero steady-state allocations, so it is safe to attach even to the
-// n=10⁷ sparse benchmark (the CI overhead budget pins it within 2% of
-// the detached run).
+// statistics (c_max, c_second, bias, minority_mass, support, plurality,
+// plus wall_ns, ns/agent and sampled runtime.ReadMemStats readings)
+// that serializes to a JSONL trace (jsonl.go) consumed by
+// cmd/tracereport and served by pluralityd's GET /v1/jobs/{id}/trace.
+// Recorder.ObserveRound performs zero steady-state allocations, so it
+// is safe to attach even to the n=10⁷ sparse benchmark (the CI overhead
+// budget pins it within 2% of the detached run). ObserverFunc adapts a
+// plain function for one-off hooks.
 package obs
 
 import (
 	"runtime"
-	"time"
 
 	"plurality/internal/colorcfg"
 )
 
-// Observer receives one callback per completed engine round.
+// Observer receives one callback per completed round of a core.Run.
 //
-// Implementations must not retain cfg (it is the engine's live count
-// array), must not consume any rng, and should return quickly — the
-// callback runs on the engine's stepping goroutine, inside the round's
-// measured wall time as seen by the caller above.
+// Implementations must not retain or modify cfg (it is the run's
+// current configuration, which the stop condition and the Result see
+// too), must not consume any rng, and should return quickly — the
+// callback runs on the stepping goroutine, between rounds.
 type Observer interface {
 	// ObserveRound reports one completed round: the number of completed
-	// rounds, the total agent count, the wall-clock nanoseconds the Step
-	// took, and a read-only view of the post-round configuration.
+	// rounds, the total agent count, the wall-clock nanoseconds the
+	// engine Step took, and a read-only view of the post-round
+	// (post-corruption) configuration.
 	ObserveRound(round int, n int64, wallNs int64, cfg colorcfg.Config)
 }
 
-// RoundStats is one observed round. The convergence fields mirror
-// trace.Point (and serialize under the same names as trace.WriteCSV's
-// columns); the timing and memory fields are the telemetry this package
-// adds on top.
+// ObserverFunc adapts a function to Observer.
+type ObserverFunc func(round int, n int64, wallNs int64, cfg colorcfg.Config)
+
+// ObserveRound implements Observer.
+func (f ObserverFunc) ObserveRound(round int, n int64, wallNs int64, cfg colorcfg.Config) {
+	f(round, n, wallNs, cfg)
+}
+
+// RoundStats is one observed round: the convergence statistics of the
+// post-round configuration plus the timing and memory telemetry.
 type RoundStats struct {
 	Round        int     `json:"round"`
 	WallNs       int64   `json:"wall_ns"`
@@ -198,14 +209,4 @@ func (r *Recorder) HeapMax() uint64 { return r.heapMax }
 // Reset clears the recorder for reuse, keeping the allocated ring.
 func (r *Recorder) Reset() {
 	r.total, r.n, r.wallNs, r.heapMax, r.numGC = 0, 0, 0, 0, 0
-}
-
-// Began returns the current wall clock when an observer is attached and
-// the zero time otherwise — the begin-timestamp helper engines call at
-// the top of Step so a detached engine never reads the clock.
-func Began(o Observer) time.Time {
-	if o == nil {
-		return time.Time{}
-	}
-	return time.Now()
 }

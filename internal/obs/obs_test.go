@@ -208,12 +208,3 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Errorf("Len = %d after draining, want 0", tr.Len())
 	}
 }
-
-func TestBegan(t *testing.T) {
-	if !Began(nil).IsZero() {
-		t.Errorf("Began(nil) should be the zero time")
-	}
-	if Began(&Recorder{}).IsZero() {
-		t.Errorf("Began(observer) should read the clock")
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"plurality/internal/colorcfg"
+	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
 	"plurality/internal/graph"
@@ -184,39 +185,54 @@ func StandardGoldenSpecs() []GoldenSpec {
 // the initial configuration) listing the color counts. The bytes are a
 // pure function of the spec.
 func TraceBytes(spec GoldenSpec) []byte {
-	return traceBytes(spec, nil)
+	r := rng.New(spec.Seed)
+	e := spec.NewEngine(spec.Initial.Clone(), r)
+	defer e.Close()
+	b := traceHeader(spec, e.Config())
+	for t := 1; t <= spec.Rounds; t++ {
+		e.Step(r)
+		writeTraceRound(b, t, e.Config())
+	}
+	return b.Bytes()
 }
 
-// TraceBytesObserved is TraceBytes with o attached to the engine for the
-// whole run. Because observers are handed no rng (obs.Observer's
+// TraceBytesObserved renders the same byte form, but drives the rounds
+// through core.Run with o attached as its Observer — the production hook
+// path — and writes each round from the configuration the observer is
+// handed. Because observers are handed no rng (obs.Observer's
 // contract), the returned bytes must equal TraceBytes(spec) for every
 // spec — the certification the golden suite runs over all committed
 // traces to pin the zero-cost-when-off telemetry contract.
 func TraceBytesObserved(spec GoldenSpec, o obs.Observer) []byte {
-	return traceBytes(spec, o)
-}
-
-func traceBytes(spec GoldenSpec, o obs.Observer) []byte {
 	r := rng.New(spec.Seed)
 	e := spec.NewEngine(spec.Initial.Clone(), r)
 	defer e.Close()
-	if o != nil {
-		engine.Observe(e, o)
-	}
+	b := traceHeader(spec, e.Config())
+	core.Run(e, core.Options{
+		MaxRounds: spec.Rounds,
+		Stop:      func(colorcfg.Config, int) bool { return false },
+		Rand:      r,
+		Observer: obs.ObserverFunc(func(round int, n, wallNs int64, c colorcfg.Config) {
+			writeTraceRound(b, round, c)
+			o.ObserveRound(round, n, wallNs, c)
+		}),
+	})
+	return b.Bytes()
+}
+
+// traceHeader starts a trace: the header line and round 0.
+func traceHeader(spec GoldenSpec, initial colorcfg.Config) *bytes.Buffer {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "# golden %s n=%d k=%d seed=%d rounds=%d\n",
 		spec.Name, spec.Initial.N(), spec.Initial.K(), spec.Seed, spec.Rounds)
-	writeRound := func(round int, c colorcfg.Config) {
-		fmt.Fprintf(&b, "%d", round)
-		for _, v := range c {
-			fmt.Fprintf(&b, "\t%d", v)
-		}
-		b.WriteByte('\n')
+	writeTraceRound(&b, 0, initial)
+	return &b
+}
+
+func writeTraceRound(b *bytes.Buffer, round int, c colorcfg.Config) {
+	fmt.Fprintf(b, "%d", round)
+	for _, v := range c {
+		fmt.Fprintf(b, "\t%d", v)
 	}
-	writeRound(0, e.Config())
-	for t := 1; t <= spec.Rounds; t++ {
-		e.Step(r)
-		writeRound(t, e.Config())
-	}
-	return b.Bytes()
+	b.WriteByte('\n')
 }
