@@ -63,10 +63,38 @@ func TestPhaseString(t *testing.T) {
 	}
 }
 
-func TestSegmentsOrdered(t *testing.T) {
-	if segments(nil, 100) != nil {
-		t.Error("no rounds must give no segments")
+// TestRecorderCapturesTrajectory: a recorder attached to core.Run keeps
+// every round, numbered 1..R without gaps, ending monochromatic.
+func TestRecorderCapturesTrajectory(t *testing.T) {
+	rec := observedRun(t, 100000, 8, 7000, 1)
+	rounds := rec.Rounds(nil)
+	if len(rounds) < 5 || len(rounds) != rec.Total() {
+		t.Fatalf("kept %d of %d rounds", len(rounds), rec.Total())
 	}
+	if first := rounds[0]; first.Round != 1 || first.CMax == 0 {
+		t.Fatalf("bad first round: %+v", first)
+	}
+	if last := rounds[len(rounds)-1]; last.CMax != 100000 || last.MinorityMass != 0 {
+		t.Fatalf("final round not monochromatic: %+v", last)
+	}
+	for i := 1; i < len(rounds); i++ {
+		if rounds[i].Round != rounds[i-1].Round+1 {
+			t.Fatalf("round gap at %d", i)
+		}
+	}
+}
+
+func TestEmptyRecorder(t *testing.T) {
+	rec := &obs.Recorder{}
+	if rec.Total() != 0 || len(rec.Rounds(nil)) != 0 {
+		t.Fatalf("empty recorder holds %d rounds", rec.Total())
+	}
+	if segments(rec.Rounds(nil), 100) != nil {
+		t.Error("empty recorder must have no segments")
+	}
+}
+
+func TestSegmentsOrdered(t *testing.T) {
 	rec := observedRun(t, 100000, 8, 7000, 2)
 	segs := segments(rec.Rounds(nil), 100000)
 	if len(segs) == 0 {
