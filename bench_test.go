@@ -19,7 +19,6 @@ import (
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
 	"plurality/internal/expt"
-	"plurality/internal/graph"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
 	"plurality/internal/topo"
@@ -126,19 +125,16 @@ func BenchmarkEngineSampledRound(b *testing.B) {
 }
 
 // BenchmarkEngineGraphRound measures the per-vertex engine on the clique
-// (alias fast path) and on the same random-regular workload through both
-// graph representations: the legacy adjacency list (interface sampling
-// path) and the topo CSR (direct-slice fast path) — the CSR-vs-legacy
-// ablation of DESIGN.md §8.
+// (alias fast path) and on a random 8-regular CSR (direct-slice fast
+// path).
 func BenchmarkEngineGraphRound(b *testing.B) {
 	const n = 100_000
 	layout := rng.New(3)
 	builders := []struct {
 		name string
-		g    graph.Graph
+		g    topo.NeighborSource
 	}{
-		{"clique", graph.NewComplete(n)},
-		{"8-regular-legacy", graph.NewRandomRegular(n, 8, rng.New(2))},
+		{"clique", topo.NewComplete(n)},
 		{"8-regular-csr", topo.RandomRegular("regular:8", n, 8, rng.New(2))},
 	}
 	for _, tc := range builders {

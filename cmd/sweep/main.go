@@ -335,6 +335,7 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 	name := cellName(rule.Name(), gname, n, k, c, sampler)
 	_, isProb := rule.(dynamics.ProbModel)
 	onClique := gname == "complete"
+	var built topo.NeighborSource // set once sharedGraph runs
 	sharedGraph := sync.OnceValue(func() topo.NeighborSource {
 		// The graph seed is a pure function of (base seed, cell name), so
 		// in mmap mode the cache file name is too: re-running the same
@@ -349,6 +350,7 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 		if err != nil {
 			panic(fmt.Sprintf("sweep: graph revalidation failed for %q: %v", gname, err))
 		}
+		built = g
 		return g
 	})
 	var ct *cellTracer
@@ -407,6 +409,13 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 		onProgress = ct.flush
 	}
 	recs, err := pool.Run(ctx, job, mc.RunOpts{Done: done[name], Sink: sink, OnProgress: onProgress})
+	// pool.Run drains every in-flight replicate, so nothing samples the
+	// graph any more: unmap an mmap-backed source now, not at exit.
+	if c, ok := built.(io.Closer); ok {
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if ct != nil {
 		if cerr := ct.f.Close(); err == nil {
 			err = ct.err

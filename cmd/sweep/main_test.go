@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -461,5 +462,39 @@ func TestTraceFileName(t *testing.T) {
 	}
 	if strings.ContainsAny(got, "/\\:=") {
 		t.Fatalf("unsafe bytes survived: %q", got)
+	}
+}
+
+// TestSweepMmapUnmapsGraphs pins that each graph cell releases its
+// mmap-backed topology once its replicates finish, so a long -graph-mode
+// mmap sweep does not hold one mapping per cell until the process exits.
+func TestSweepMmapUnmapsGraphs(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/self/maps")
+	}
+	if _, err := os.Stat("/proc/self/maps"); err != nil {
+		t.Skip("no /proc/self/maps")
+	}
+	cfg := testCfg()
+	cfg.rules = "3majority"
+	cfg.ks = "2"
+	cfg.ns = "400,900"
+	cfg.graphs = "regular:4,smallworld:4:0.1,torus"
+	cfg.graphMode = "mmap"
+	cfg.graphDir = t.TempDir()
+	cfg.reps = 3
+	runSweep(t, cfg, nil)
+	files, err := filepath.Glob(filepath.Join(cfg.graphDir, "*.csr"))
+	if err != nil || len(files) != 6 {
+		t.Fatalf("mmap sweep left %d CSR files (%v), want one per graph cell (6)", len(files), err)
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.Contains(line, cfg.graphDir+string(filepath.Separator)) {
+			t.Errorf("graph file still mapped after the sweep: %s", line)
+		}
 	}
 }

@@ -24,13 +24,15 @@
 // a mis-sampling mutant as a negative control (go run ./cmd/validate;
 // DESIGN.md §7).
 //
-// Topologies beyond the clique are first-class: internal/topo provides a
-// CSR graph store with a direct-sampling engine fast path (graph rounds
-// at n up to 10^7), a generator registry spanning expanders to bottleneck
-// graphs (smallworld, ba, sbm, hypercube, torus:D, barbell, ...), and
-// spectral diagnostics (internal/topo/spectral) relating each family's
-// spectral gap to its consensus time — see DESIGN.md §8 and experiment
-// E20.
+// Topologies beyond the clique are first-class: internal/topo puts every
+// topology, the paper's clique (topo.Complete) included, behind one
+// interface, topo.NeighborSource. It provides implicit families that store
+// nothing, a CSR graph store with a direct-sampling engine fast path
+// (graph rounds at n up to 10^7), a generator registry spanning expanders
+// to bottleneck graphs (smallworld, ba, sbm, hypercube, torus:D, barbell,
+// ...), and spectral diagnostics (internal/topo/spectral) relating each
+// family's spectral gap to its consensus time — see DESIGN.md §8 and
+// experiment E20.
 //
 // Start with examples/quickstart, or:
 //

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,6 +87,10 @@ func main() {
 			rounds += float64(res.Rounds) / float64(*reps)
 			first, _ := res.Final.TopTwo()
 			share += float64(first) / float64(*n) / float64(*reps)
+		}
+		// mmap mode maps one file per family; unmap it before the next.
+		if c, ok := g.(io.Closer); ok {
+			c.Close()
 		}
 		fmt.Printf("%-20s %-13s %6d/%-3d %12.0f %17.3f\n", canon, gap, conv, *reps, rounds, share)
 	}

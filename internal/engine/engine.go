@@ -15,7 +15,7 @@
 //     alias table over c and applies the rule. O(n·h) per round,
 //     parallelized across worker goroutines with independent rng streams.
 //   - GraphEngine — literal agent-array engine on an arbitrary topology
-//     (internal/graph), double-buffered; used to cross-validate the clique
+//     (topo.NeighborSource), double-buffered; used to cross-validate the clique
 //     engines and for the beyond-clique extension experiments.
 //
 // The stateful undecided-state dynamics and the sequential population model

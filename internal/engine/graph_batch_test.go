@@ -20,7 +20,7 @@ import (
 // every structural class.
 func TestGraphBatchMatchesSerialBytes(t *testing.T) {
 	const n = 900
-	gnp, err := topo.Build("gnp:0.008", n, rng.New(41)) // skewed degrees, isolated vertices likely
+	gnp, err := topo.BuildSource("gnp:0.008", n, rng.New(41), topo.BuildOpts{}) // skewed degrees, isolated vertices likely
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestGraphBatchMatchesSerialBytes(t *testing.T) {
 		// Non-fast3 batched apply (Median is rand-free, h=3, no fused kernel).
 		{"regular6-median", topo.RandomRegular("regular:6", n, 6, rng.New(31)), n, dynamics.Median{}},
 		// Generic source (no FlatRows): runGenericBatch over SampleNeighbor.
-		{"opaque-regular6-3majority", hiddenCSR{topo.RandomRegular("regular:6", n, 6, rng.New(31))}, n, dynamics.ThreeMajority{}},
+		{"opaque-regular6-3majority", opaqueSource{topo.RandomRegular("regular:6", n, 6, rng.New(31))}, n, dynamics.ThreeMajority{}},
 		// Implicit functional source.
 		{"torus-implicit-3majority", torus, 512, dynamics.ThreeMajority{}},
 	}

@@ -7,20 +7,20 @@ import (
 
 	"plurality/internal/colorcfg"
 	"plurality/internal/dynamics"
-	"plurality/internal/graph"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
 	"plurality/internal/topo"
 )
 
-// hiddenCSR wraps a CSR behind a bare interface (embedding the interface,
-// not the concrete type, so FlatRows is not promoted) — NewGraphEngine's
-// topo.Flat assertion fails and the engine takes the generic
-// NeighborSource path over the exact same structure.
-type hiddenCSR struct{ graph.Graph }
+// opaqueSource wraps a source behind the bare interface (embedding the
+// interface, not the concrete type, so FlatRows is not promoted and the
+// type is hidden) — NewGraphEngine's clique and topo.Flat assertions both
+// fail and the engine takes the generic NeighborSource path over the exact
+// same structure.
+type opaqueSource struct{ topo.NeighborSource }
 
 // TestGraphEngineCSRByteContract pins the representation-independence
-// contract: the CSR direct-slice path and the graph.Graph interface path
+// contract: the CSR direct-slice path and the NeighborSource interface path
 // consume the rng identically, so the same (structure, seed, workers)
 // triple yields byte-identical runs whichever path executes.
 func TestGraphEngineCSRByteContract(t *testing.T) {
@@ -28,7 +28,7 @@ func TestGraphEngineCSRByteContract(t *testing.T) {
 	init := colorcfg.Biased(900, 4, 120)
 	for _, workers := range []int{1, 3} {
 		fast := NewGraphEngine(dynamics.ThreeMajority{}, csr, init, workers, 77, rng.New(5))
-		slow := NewGraphEngine(dynamics.ThreeMajority{}, hiddenCSR{csr}, init, workers, 77, rng.New(5))
+		slow := NewGraphEngine(dynamics.ThreeMajority{}, opaqueSource{csr}, init, workers, 77, rng.New(5))
 		if fast.loop.offsets == nil || slow.loop.offsets != nil {
 			t.Fatal("fast-path detection broken: want flat path vs generic path")
 		}
@@ -99,7 +99,7 @@ func twoSampleChi2(t *testing.T, a, b []float64) (float64, int) {
 
 // TestGraphEngineCSRCrossCheck is the statistical half of the port: on the
 // clique and on a random 8-regular graph, the one-round color-0 count of
-// the CSR-sharded engine must be distributed identically to the legacy
+// the CSR-sharded engine must be distributed identically to a reference
 // path over the same structure (two-sample chi-square, α = 0.001).
 func TestGraphEngineCSRCrossCheck(t *testing.T) {
 	if testing.Short() {
@@ -108,43 +108,35 @@ func TestGraphEngineCSRCrossCheck(t *testing.T) {
 	const n, reps = 360, 2500
 	init := colorcfg.FromCounts(150, 120, 90)
 	rule := dynamics.ThreeMajority{}
+	clique, err := topo.MaterializeCSR("complete", topo.NewComplete(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	regular := topo.LegacyRandomRegular(n, 8, rng.New(12))
 
 	cases := []struct {
-		name   string
-		csr    func() graph.Graph
-		legacy func() graph.Graph
+		name string
+		csr  *topo.CSR
+		ref  topo.NeighborSource
 	}{
-		{
-			// The materialized clique (rows include self) against the
-			// paper engine's alias fast path.
-			name:   "clique",
-			csr:    func() graph.Graph { return topo.FromGraph(graph.NewComplete(n)) },
-			legacy: func() graph.Graph { return graph.NewComplete(n) },
-		},
-		{
-			// The same 8-regular structure through both representations.
-			name: "8-regular",
-			csr: func() graph.Graph {
-				return topo.FromGraph(graph.NewRandomRegular(n, 8, rng.New(12)))
-			},
-			legacy: func() graph.Graph { return graph.NewRandomRegular(n, 8, rng.New(12)) },
-		},
+		// The materialized clique (rows include self) against the paper
+		// engine's alias fast path.
+		{name: "clique", csr: clique, ref: topo.NewComplete(n)},
+		// The same 8-regular structure through the flat and the generic
+		// interface paths.
+		{name: "8-regular", csr: regular, ref: opaqueSource{regular}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			gCSR, gLegacy := tc.csr(), tc.legacy()
-			if _, ok := gCSR.(*topo.CSR); !ok {
-				t.Fatal("csr builder did not produce *topo.CSR")
-			}
 			a := oneRoundColor0Samples(init, reps, func(rep int) Engine {
-				return NewGraphEngine(rule, gCSR, init, 2, uint64(rep)*2+1, nil)
+				return NewGraphEngine(rule, tc.csr, init, 2, uint64(rep)*2+1, nil)
 			})
 			b := oneRoundColor0Samples(init, reps, func(rep int) Engine {
-				return NewGraphEngine(rule, gLegacy, init, 1, uint64(rep)*2+800_000_001, nil)
+				return NewGraphEngine(rule, tc.ref, init, 1, uint64(rep)*2+800_000_001, nil)
 			})
 			stat, df := twoSampleChi2(t, a, b)
 			if crit := stats.ChiSquareCritical(df, 0.001); stat > crit {
-				t.Errorf("χ² = %.2f > crit %.2f (df %d): CSR path diverges from legacy path", stat, crit, df)
+				t.Errorf("χ² = %.2f > crit %.2f (df %d): CSR path diverges from the reference path", stat, crit, df)
 			}
 		})
 	}

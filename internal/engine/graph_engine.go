@@ -7,7 +7,6 @@ import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dist"
 	"plurality/internal/dynamics"
-	"plurality/internal/graph"
 	"plurality/internal/rng"
 	"plurality/internal/topo"
 )
@@ -15,18 +14,17 @@ import (
 // GraphEngine is the literal agent-array engine: every vertex of an
 // arbitrary topology holds a color; each round every vertex samples h
 // neighbors (uniformly, with repetitions) and applies the rule.
-// The update is synchronous (double-buffered). On graph.Complete with
+// The update is synchronous (double-buffered). On topo.Complete with
 // IncludeSelf it realizes exactly the paper's model and is used to
 // cross-validate the configuration-level clique engines.
 //
 // The engine consumes its topology through topo.NeighborSource — the
 // minimal sampling surface shared by implicit graphs (neighbors computed
-// functionally, zero materialization), in-RAM CSRs, mmap-backed CSRs, and
-// the legacy graph package (whose interface is the same method set, so
-// legacy values pass through by plain conversion). Every source honors the
-// same rng byte contract (one Int63n(degree) per sample, none for an
-// isolated vertex), so swapping a graph's representation never perturbs a
-// seeded run; only memory residency changes. That is what takes sparse
+// functionally, zero materialization), in-RAM CSRs and mmap-backed CSRs.
+// Every source honors the same rng byte contract (one Int63n(degree) per
+// sample, none for an isolated vertex), so swapping a graph's
+// representation never perturbs a seeded run; only memory residency
+// changes. That is what takes sparse
 // runs past RAM: implicit torus to n = 10⁹, mmap smallworld to n = 10⁸.
 //
 // Vertices are sharded across worker goroutines with independent rng
@@ -174,9 +172,8 @@ type graphWorker struct {
 	idx   []int64 // batched paths: per-block neighbor vertex ids
 }
 
-// NewGraphEngine builds the engine over any topo.NeighborSource (legacy
-// graph.Graph values convert implicitly — same method set) with the default
-// sampler. The initial configuration is laid out over the vertices in color
+// NewGraphEngine builds the engine over any topo.NeighborSource with the
+// default sampler. The initial configuration is laid out over the vertices in color
 // blocks and then shuffled with layoutRng so that topology experiments are
 // not biased by block placement (on the clique the layout is irrelevant).
 // workers <= 1 runs single-threaded.
@@ -215,7 +212,7 @@ func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial col
 		})
 	}
 	lp := &graphLoop{src: src, rule: rule, bufs: e.bufs, h: h}
-	if c, ok := src.(graph.Complete); ok && c.IncludeSelf {
+	if c, ok := src.(topo.Complete); ok && c.IncludeSelf {
 		lp.alias = dist.NewAliasCounts(initial)
 	} else {
 		if flat, ok := src.(topo.Flat); ok {
@@ -267,8 +264,8 @@ func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial col
 // uniformFlatDegree reports the common row width when every row of the
 // offset array has the same positive width, else 0. The one sequential
 // sweep at construction buys the bucketed hot loop for flat sources that
-// carry no topo.UniformDegree hint (generated regular:D CSRs, the legacy
-// adjacency list, materialized tori).
+// carry no topo.UniformDegree hint (generated regular:D CSRs,
+// topo.LegacyRandomRegular, materialized tori).
 func uniformFlatDegree(offsets []int64) int64 {
 	n := len(offsets) - 1
 	if n < 1 {

@@ -6,14 +6,14 @@ import (
 
 	"plurality/internal/colorcfg"
 	"plurality/internal/dynamics"
-	"plurality/internal/graph"
 	"plurality/internal/rng"
+	"plurality/internal/topo"
 )
 
 func TestGraphEngineCliqueConservesN(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		r := rng.New(1)
-		g := graph.NewComplete(3000)
+		g := topo.NewComplete(3000)
 		e := NewGraphEngine(dynamics.ThreeMajority{}, g, colorcfg.Biased(3000, 4, 200), workers, 77, rng.New(5))
 		for i := 0; i < 20; i++ {
 			e.Step(r)
@@ -30,7 +30,7 @@ func TestGraphEngineCliqueConservesN(t *testing.T) {
 }
 
 func TestGraphEngineCliqueMatchesLemma1Drift(t *testing.T) {
-	// One round on graph.Complete(+self) must have the Lemma 1 expectation.
+	// One round on topo.Complete(+self) must have the Lemma 1 expectation.
 	init := colorcfg.FromCounts(400, 350, 250)
 	n := init.N()
 	rule := dynamics.ThreeMajority{}
@@ -40,7 +40,7 @@ func TestGraphEngineCliqueMatchesLemma1Drift(t *testing.T) {
 	const reps = 2000
 	mean := make([]float64, 3)
 	for i := 0; i < reps; i++ {
-		g := graph.NewComplete(n)
+		g := topo.NewComplete(n)
 		e := NewGraphEngine(rule, g, init, 2, uint64(i), nil)
 		e.Step(nil)
 		for j, v := range e.Config() {
@@ -59,7 +59,7 @@ func TestGraphEngineCliqueMatchesLemma1Drift(t *testing.T) {
 func TestGraphEngineConvergesOnClique(t *testing.T) {
 	r := rng.New(2)
 	n := int64(10000)
-	g := graph.NewComplete(n)
+	g := topo.NewComplete(n)
 	e := NewGraphEngine(dynamics.ThreeMajority{}, g, colorcfg.Biased(n, 3, 1500), 4, 42, rng.New(1))
 	for i := 0; i < 300 && !e.Config().IsMonochromatic(); i++ {
 		e.Step(r)
@@ -72,7 +72,7 @@ func TestGraphEngineConvergesOnClique(t *testing.T) {
 
 func TestGraphEngineDeterministic(t *testing.T) {
 	run := func() colorcfg.Config {
-		g := graph.NewTorus(20, 20)
+		g := topo.NewTorus(20, 20)
 		e := NewGraphEngine(dynamics.ThreeMajority{}, g, colorcfg.Biased(400, 3, 60), 3, 9, rng.New(4))
 		for i := 0; i < 15; i++ {
 			e.Step(nil)
@@ -85,7 +85,7 @@ func TestGraphEngineDeterministic(t *testing.T) {
 }
 
 func TestGraphEngineOnTorusConservesN(t *testing.T) {
-	g := graph.NewTorus(10, 10)
+	g := topo.NewTorus(10, 10)
 	e := NewGraphEngine(dynamics.ThreeMajority{}, g, colorcfg.Biased(100, 2, 30), 1, 3, rng.New(8))
 	for i := 0; i < 50; i++ {
 		e.Step(nil)
@@ -101,11 +101,11 @@ func TestGraphEngineRejectsSizeMismatch(t *testing.T) {
 			t.Fatal("expected panic on n mismatch")
 		}
 	}()
-	NewGraphEngine(dynamics.ThreeMajority{}, graph.NewComplete(10), colorcfg.Biased(20, 2, 2), 1, 1, nil)
+	NewGraphEngine(dynamics.ThreeMajority{}, topo.NewComplete(10), colorcfg.Biased(20, 2, 2), 1, 1, nil)
 }
 
 func TestGraphEngineRepaint(t *testing.T) {
-	g := graph.NewComplete(100)
+	g := topo.NewComplete(100)
 	e := NewGraphEngine(dynamics.ThreeMajority{}, g, colorcfg.FromCounts(60, 40), 1, 1, nil)
 	if moved := e.Repaint(0, 1, 25); moved != 25 {
 		t.Fatalf("moved %d", moved)
@@ -129,7 +129,7 @@ func TestGraphEngineStarHubDominance(t *testing.T) {
 	// leaves. Start with hub color 0 and all leaves color 1: after one
 	// round all leaves are color 0.
 	n := int64(101)
-	g := graph.NewStar(n)
+	g := topo.NewStar(n)
 	// Agents laid out deterministically: color 0 first (vertex 0 = hub).
 	init := colorcfg.FromCounts(1, 100)
 	e := NewGraphEngine(dynamics.ThreeMajority{}, g, init, 1, 6, nil)
@@ -150,9 +150,9 @@ func TestGraphEngineWithoutSelfDriftVanishes(t *testing.T) {
 	meanWith := make([]float64, 3)
 	meanWithout := make([]float64, 3)
 	for i := 0; i < reps; i++ {
-		eWith := NewGraphEngine(rule, graph.NewComplete(n), init, 2, uint64(i), nil)
+		eWith := NewGraphEngine(rule, topo.NewComplete(n), init, 2, uint64(i), nil)
 		eWith.Step(nil)
-		eWithout := NewGraphEngine(rule, graph.Complete{Vertices: n, IncludeSelf: false}, init, 2, uint64(i)+500000, nil)
+		eWithout := NewGraphEngine(rule, topo.Complete{Vertices: n, IncludeSelf: false}, init, 2, uint64(i)+500000, nil)
 		eWithout.Step(nil)
 		for j := range meanWith {
 			meanWith[j] += float64(eWith.Config()[j]) / reps

@@ -8,7 +8,6 @@ import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dist"
 	"plurality/internal/dynamics"
-	"plurality/internal/graph"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
 	"plurality/internal/topo"
@@ -18,7 +17,7 @@ import (
 // of every engine allocates nothing, including the multi-worker engines
 // (persistent worker pools) and the graph engine on every backend — the
 // clique alias path, the flat CSR path, the implicit functional path, and
-// the mmap-backed path.
+// the mmap-backed path — and all five graphWorker.run dispatch rows.
 func TestStepZeroAllocs(t *testing.T) {
 	r := rng.New(1)
 	init := colorcfg.Biased(20_000, 8, 500)
@@ -41,7 +40,7 @@ func TestStepZeroAllocs(t *testing.T) {
 
 	// A skewed-degree flat graph (gnp) exercises the per-vertex draw loops
 	// rather than the uniform-degree bulk kernels.
-	gnp, err := topo.Build("gnp:0.0008", 20_000, rng.New(3))
+	gnp, err := topo.BuildSource("gnp:0.0008", 20_000, rng.New(3), topo.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +52,9 @@ func TestStepZeroAllocs(t *testing.T) {
 		"clique-sampled-w1":  NewCliqueSampled(dynamics.ThreeMajority{}, init, 1, 7),
 		"clique-sampled-w4":  NewCliqueSampled(dynamics.ThreeMajority{}, init, 4, 7),
 		"graph-clique-w4": NewGraphEngine(dynamics.ThreeMajority{},
-			graph.NewComplete(20_000), init, 4, 11, nil),
+			topo.NewComplete(20_000), init, 4, 11, nil),
 		"graph-regular-w4": NewGraphEngine(dynamics.ThreeMajority{},
-			graph.NewRandomRegular(20_000, 8, rng.New(2)), init, 4, 11, nil),
+			topo.LegacyRandomRegular(20_000, 8, rng.New(2)), init, 4, 11, nil),
 		"graph-csr-w4": NewGraphEngine(dynamics.ThreeMajority{},
 			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil),
 		"graph-implicit-w4": NewGraphEngine(dynamics.ThreeMajority{},
@@ -63,11 +62,14 @@ func TestStepZeroAllocs(t *testing.T) {
 		"graph-mmap-w4": NewGraphEngine(dynamics.ThreeMajority{},
 			mmapSrc, init, 4, 11, nil),
 		// Every dispatch row of the rewritten graph loop: the skewed-degree
-		// batched path, the serial fallback for an rng-consuming rule, and
-		// the relaxed batch sampler on flat, skewed and implicit sources.
+		// batched path, the serial fallbacks (flat and generic) for an
+		// rng-consuming rule, and the relaxed batch sampler on flat, skewed
+		// and implicit sources.
 		"graph-gnp-w4": NewGraphEngine(dynamics.ThreeMajority{}, gnp, init, 4, 11, nil),
 		"graph-csr-utie-serial-w4": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
 			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil),
+		"graph-implicit-utie-serial-w4": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
+			torus, initTorus, 4, 11, nil),
 		"graph-csr-batch-w4": NewGraphEngineOpts(dynamics.ThreeMajority{},
 			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil, batch),
 		"graph-csr-utie-batch-w4": NewGraphEngineOpts(dynamics.ThreeMajority{UniformTie: true},
@@ -98,7 +100,7 @@ func TestCloseStopsWorkers(t *testing.T) {
 	if s.Config().N() != 1000 {
 		t.Error("Config broken after Close")
 	}
-	g := NewGraphEngine(dynamics.ThreeMajority{}, graph.NewComplete(1000), init, 4, 3, nil)
+	g := NewGraphEngine(dynamics.ThreeMajority{}, topo.NewComplete(1000), init, 4, 3, nil)
 	g.Step(nil)
 	g.Close()
 	g.Close()
@@ -157,11 +159,6 @@ func checkBinomialMarginal(t *testing.T, name string, obs []float64, n int64, p0
 	}
 }
 
-// opaqueGraph wraps a Graph so the concrete type is invisible to the
-// GraphEngine's clique fast-path type assertion, forcing the literal
-// neighbor-sampling path on any topology.
-type opaqueGraph struct{ graph.Graph }
-
 func TestEnginesAgreeInDistribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distribution cross-check is slow")
@@ -183,15 +180,15 @@ func TestEnginesAgreeInDistribution(t *testing.T) {
 			return NewCliqueSampled(dynamics.ThreeMajority{}, init, 3, uint64(rep)*17+3)
 		},
 		"graph-clique": func(rep int) Engine {
-			return NewGraphEngine(dynamics.ThreeMajority{}, graph.NewComplete(300),
+			return NewGraphEngine(dynamics.ThreeMajority{}, topo.NewComplete(300),
 				init, 1, uint64(rep)*29+7, nil)
 		},
-		// The opaque wrapper hides the graph.Complete concrete type, so the
+		// The opaque wrapper hides the topo.Complete concrete type, so the
 		// engine takes the literal vertex-sampling path instead of the alias
 		// fast path — keeping the agreement test an independent check of the
 		// alias kernel rather than a self-comparison.
 		"graph-clique-literal": func(rep int) Engine {
-			return NewGraphEngine(dynamics.ThreeMajority{}, opaqueGraph{graph.NewComplete(300)},
+			return NewGraphEngine(dynamics.ThreeMajority{}, opaqueSource{topo.NewComplete(300)},
 				init, 1, uint64(rep)*31+11, nil)
 		},
 	}

@@ -8,7 +8,6 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
-	"plurality/internal/graph"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
 	"plurality/internal/topo"
@@ -118,7 +117,7 @@ func runE14(p Profile, seed uint64) []*Table {
 	// graph shared across replicates.
 	specs := []string{"complete", "regular:8", fmt.Sprintf("gnp:%g", 16.0/float64(n)), "torus", "cycle"}
 	for _, spec := range specs {
-		g, err := topo.Build(spec, n, rng.New(seed^hashName(spec)))
+		g, err := topo.BuildSource(spec, n, rng.New(seed^hashName(spec)), topo.BuildOpts{})
 		if err != nil {
 			panic(fmt.Sprintf("expt: E14 build %q at n=%d: %v", spec, n, err))
 		}
@@ -181,12 +180,12 @@ func runE15(p Profile, seed uint64) []*Table {
 				colorcfg.Biased(n, k, s), 1, seed^uint64(rep)*5)
 		}},
 		{"with self (paper)", func(rep int) engine.Engine {
-			return engine.NewGraphEngine(dynamics.ThreeMajority{}, graph.NewComplete(n),
+			return engine.NewGraphEngine(dynamics.ThreeMajority{}, topo.NewComplete(n),
 				colorcfg.Biased(n, k, s), 2, seed^uint64(rep)*7, nil)
 		}},
 		{"without self", func(rep int) engine.Engine {
 			return engine.NewGraphEngine(dynamics.ThreeMajority{},
-				graph.Complete{Vertices: n, IncludeSelf: false},
+				topo.Complete{Vertices: n, IncludeSelf: false},
 				colorcfg.Biased(n, k, s), 2, seed^uint64(rep)*11, nil)
 		}},
 	}

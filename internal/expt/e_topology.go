@@ -61,7 +61,7 @@ func runE20(p Profile, seed uint64) []*Table {
 		if err != nil {
 			panic(fmt.Sprintf("expt: E20 spec %q invalid at n=%d: %v", spec, n, err))
 		}
-		g, err := topo.Build(canon, n, rng.New(seed^hashName(canon)))
+		g, err := topo.BuildSource(canon, n, rng.New(seed^hashName(canon)), topo.BuildOpts{})
 		if err != nil {
 			panic(fmt.Sprintf("expt: E20 build %q: %v", canon, err))
 		}

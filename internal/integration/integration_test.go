@@ -12,10 +12,10 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
-	"plurality/internal/graph"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
+	"plurality/internal/topo"
 )
 
 // meanRounds runs reps processes built by mk and returns summary stats of
@@ -58,7 +58,7 @@ func TestEnginesProcessLevelEquivalence(t *testing.T) {
 		return engine.NewCliqueSampled(dynamics.ThreeMajority{}, init, 2, uint64(rep)*7+1)
 	}
 	mkGraph := func(rep int) engine.Engine {
-		return engine.NewGraphEngine(dynamics.ThreeMajority{}, graph.NewComplete(n), init, 2, uint64(rep)*13+5, nil)
+		return engine.NewGraphEngine(dynamics.ThreeMajority{}, topo.NewComplete(n), init, 2, uint64(rep)*13+5, nil)
 	}
 	mkMarkov := func(rep int) engine.Engine {
 		return engine.NewCliqueMarkov(dynamics.ThreeMajorityKeepOwn{}, init)
@@ -142,7 +142,7 @@ func TestAdversaryAcrossEngines(t *testing.T) {
 	engines := map[string]engine.Engine{
 		"multinomial": engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init),
 		"sampled":     engine.NewCliqueSampled(dynamics.ThreeMajority{}, init, 2, 5),
-		"graph":       engine.NewGraphEngine(dynamics.ThreeMajority{}, graph.NewComplete(n), init, 2, 6, nil),
+		"graph":       engine.NewGraphEngine(dynamics.ThreeMajority{}, topo.NewComplete(n), init, 2, 6, nil),
 		"markov":      engine.NewCliqueMarkov(dynamics.ThreeMajorityKeepOwn{}, init),
 	}
 	for name, e := range engines {

@@ -11,7 +11,6 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
-	"plurality/internal/graph"
 	"plurality/internal/mc"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
@@ -323,7 +322,7 @@ func (s *JobSpec) Cost() int64 {
 // and engine seeds draw from it, keeping the replicate a pure function of
 // its seed), and g is the job's shared quenched topology (nil for
 // non-graph engines).
-func (s *JobSpec) buildEngine(init colorcfg.Config, g graph.Graph, r *rng.Rand) engine.Engine {
+func (s *JobSpec) buildEngine(init colorcfg.Config, g topo.NeighborSource, r *rng.Rand) engine.Engine {
 	if s.Rule == "undecided" {
 		return engine.NewUndecidedExact(init)
 	}
@@ -361,8 +360,8 @@ func (s *JobSpec) buildEngine(init colorcfg.Config, g graph.Graph, r *rng.Rand) 
 // mustGraph builds the validated topology from GraphSeed. CSR structures
 // are read-only during stepping, so one instance is safely shared by all
 // concurrently running replicates of a job.
-func (s *JobSpec) mustGraph() graph.Graph {
-	g, err := topo.Build(s.Graph, s.N, rng.New(s.GraphSeed))
+func (s *JobSpec) mustGraph() topo.NeighborSource {
+	g, err := topo.BuildSource(s.Graph, s.N, rng.New(s.GraphSeed), topo.BuildOpts{})
 	if err != nil {
 		panic(fmt.Sprintf("service: mustGraph on unvalidated spec: %v", err))
 	}
@@ -400,7 +399,7 @@ func (s *JobSpec) mcJob(obsFor func(seed uint64) obs.Observer) mc.Job {
 	// that needs it, off the admission path), and shared by every
 	// replicate: graph generation can dominate a short job, and the
 	// structure is immutable during stepping.
-	var sharedGraph func() graph.Graph
+	var sharedGraph func() topo.NeighborSource
 	if eng, err := spec.resolveEngine(); err == nil && eng == "graph" {
 		sharedGraph = sync.OnceValue(spec.mustGraph)
 	}
@@ -409,7 +408,7 @@ func (s *JobSpec) mcJob(obsFor func(seed uint64) obs.Observer) mc.Job {
 		return func() mc.Record {
 			r := rng.New(seed)
 			init := colorcfg.Biased(spec.N, spec.K, bias)
-			var g graph.Graph
+			var g topo.NeighborSource
 			if sharedGraph != nil {
 				g = sharedGraph()
 			}

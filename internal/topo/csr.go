@@ -1,17 +1,21 @@
-// Package topo is the topology subsystem: a compressed-sparse-row graph
-// store (CSR), a generator suite covering the expansion spectrum from the
-// clique down to bottleneck graphs, and a single name→constructor registry
-// that every surface (cmd/sweep, internal/service, cmd/validate,
-// examples/topologies) resolves topology specs through.
+// Package topo is the topology subsystem. NeighborSource is its one
+// interface: the engine samples neighbors through it, whatever backs the
+// graph. Behind it sit the closed-form implicit families (the paper's
+// clique Complete, plus Cycle, Star, Torus, TorusD and Hypercube, whose
+// neighbors are computed and never stored), a compressed-sparse-row store
+// (CSR, in RAM or mmapped from disk) for materialized graphs, a generator
+// suite covering the expansion spectrum from the clique down to bottleneck
+// graphs, and a single name→constructor registry (BuildSource) that every
+// surface (cmd/sweep, internal/service, cmd/validate, examples/topologies)
+// resolves topology specs through.
 //
-// CSR replaces the old graph.AdjList as the backbone for materialized
-// graphs: neighbors live in one flat int64 array indexed by a flat offset
-// array, so degree lookup is O(1), neighbor scans are cache-linear, and the
-// whole structure serializes to disk (WriteTo/ReadFrom) so an expensive
-// generated graph is buildable once and reusable across sweep cells. The
-// engine layer (engine.GraphEngine) special-cases *CSR with a direct-slice
-// sampling path; the rng draw sequence (one Int63n(degree) per sample) is
-// byte-identical to the generic graph.Graph interface path.
+// A CSR keeps its neighbors in one flat int64 array indexed by a flat
+// offset array, so degree lookup is O(1), neighbor scans are cache-linear,
+// and the whole structure serializes to disk (WriteTo/ReadCSR/OpenCSR) so
+// an expensive generated graph is buildable once and reusable across sweep
+// cells. The engine indexes flat sources (Flat) directly; the rng draw
+// sequence (one Int63n(degree) per sample) is byte-identical to the
+// NeighborSource interface path.
 //
 // All generators draw exclusively from an explicit *rng.Rand, so every
 // graph is a pure function of (spec, n, seed): byte-identical across runs,
@@ -24,7 +28,6 @@ import (
 	"io"
 	"slices"
 
-	"plurality/internal/graph"
 	"plurality/internal/rng"
 )
 
@@ -40,26 +43,29 @@ type CSR struct {
 	GraphName string
 	// Offsets has length N()+1 with Offsets[0] = 0, nondecreasing.
 	Offsets []int64
-	// Neighbors holds the concatenated, per-vertex sorted adjacency rows.
+	// Neighbors holds the concatenated adjacency rows. Builder and the
+	// registry generators sort each row; MaterializeCSR and
+	// LegacyRandomRegular keep the source's enumeration order, which is
+	// part of the rng byte contract (see NeighborSource.Neighbor).
 	Neighbors []int64
 }
 
-var _ graph.Graph = (*CSR)(nil)
+var _ NeighborSource = (*CSR)(nil)
 
-// Name implements graph.Graph.
+// Name implements NeighborSource.
 func (g *CSR) Name() string { return g.GraphName }
 
-// N implements graph.Graph.
+// N implements NeighborSource.
 func (g *CSR) N() int64 { return int64(len(g.Offsets)) - 1 }
 
-// Degree implements graph.Graph.
+// Degree implements NeighborSource.
 func (g *CSR) Degree(v int64) int64 { return g.Offsets[v+1] - g.Offsets[v] }
 
-// Neighbor implements graph.Graph.
+// Neighbor implements NeighborSource.
 func (g *CSR) Neighbor(v, i int64) int64 { return g.Neighbors[g.Offsets[v]+i] }
 
-// SampleNeighbor implements graph.Graph: one Int63n(degree) draw per
-// sample, the same consumption as the legacy adjacency-list path, so
+// SampleNeighbor implements NeighborSource: one Int63n(degree) draw per
+// sample, the same consumption as every other NeighborSource, so
 // swapping the backing store never perturbs a seeded run. An isolated
 // vertex samples itself and therefore keeps its color forever.
 func (g *CSR) SampleNeighbor(v int64, r *rng.Rand) int64 {
@@ -280,26 +286,4 @@ func (b *byteReader) ReadByte() (byte, error) {
 		return 0, err
 	}
 	return one[0], nil
-}
-
-// FromGraph materializes any graph.Graph as a CSR by exhaustive neighbor
-// iteration (test/diagnostic helper; generators build CSR directly).
-func FromGraph(g graph.Graph) *CSR {
-	n := g.N()
-	out := &CSR{GraphName: g.Name(), Offsets: make([]int64, n+1)}
-	var total int64
-	for v := int64(0); v < n; v++ {
-		out.Offsets[v] = total
-		total += g.Degree(v)
-	}
-	out.Offsets[n] = total
-	out.Neighbors = make([]int64, total)
-	for v := int64(0); v < n; v++ {
-		row := out.Neighbors[out.Offsets[v]:out.Offsets[v+1]]
-		for i := range row {
-			row[i] = g.Neighbor(v, int64(i))
-		}
-	}
-	sortRows(out)
-	return out
 }

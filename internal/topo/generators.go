@@ -134,6 +134,114 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 	return g
 }
 
+// LegacyRandomRegular is the historical random d-regular generator
+// (configuration-model pairing, then edge-swap repair against an edge
+// multiset map), kept because golden traces pin its byte stream. Unlike
+// RandomRegular it keeps each row in pairing order (rows are not sorted)
+// and names the graph "random-D-regular". Requires 1 <= d < n and n·d
+// even; new code should use the regular:D family instead.
+func LegacyRandomRegular(n int64, d int, r *rng.Rand) *CSR {
+	if int64(d) >= n || d < 1 {
+		panic("topo: legacy random regular needs 1 <= d < n")
+	}
+	if n*int64(d)%2 != 0 {
+		panic("topo: legacy random regular needs n*d even")
+	}
+	m := n * int64(d) / 2
+	key := func(a, b int64) [2]int64 {
+		if a > b {
+			a, b = b, a
+		}
+		return [2]int64{a, b}
+	}
+
+	const restarts = 100
+	for attempt := 0; attempt < restarts; attempt++ {
+		// Random pairing of stubs.
+		stubs := make([]int64, 2*m)
+		idx := 0
+		for v := int64(0); v < n; v++ {
+			for j := 0; j < d; j++ {
+				stubs[idx] = v
+				idx++
+			}
+		}
+		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		edges := make([][2]int64, m)
+		count := make(map[[2]int64]int, m)
+		for i := int64(0); i < m; i++ {
+			edges[i] = [2]int64{stubs[2*i], stubs[2*i+1]}
+			count[key(edges[i][0], edges[i][1])]++
+		}
+		isBad := func(i int64) bool {
+			e := edges[i]
+			return e[0] == e[1] || count[key(e[0], e[1])] > 1
+		}
+
+		// Degree-preserving swap repair.
+		budget := 200*m + 10000
+		ok := true
+		for i := int64(0); i < m; i++ {
+			for isBad(i) {
+				if budget <= 0 {
+					ok = false
+					break
+				}
+				budget--
+				j := r.Int63n(m)
+				if j == i {
+					continue
+				}
+				e1, e2 := edges[i], edges[j]
+				n1 := [2]int64{e1[0], e2[1]}
+				n2 := [2]int64{e2[0], e1[1]}
+				if n1[0] == n1[1] || n2[0] == n2[1] {
+					continue
+				}
+				k1, k2 := key(n1[0], n1[1]), key(n2[0], n2[1])
+				ko1, ko2 := key(e1[0], e1[1]), key(e2[0], e2[1])
+				count[ko1]--
+				count[ko2]--
+				if k1 == k2 || count[k1] > 0 || count[k2] > 0 {
+					count[ko1]++
+					count[ko2]++
+					continue
+				}
+				count[k1]++
+				count[k2]++
+				edges[i], edges[j] = n1, n2
+				// edges[j] may have become bad only if it was already bad;
+				// re-sweeping j is handled by the outer loop when j > i,
+				// and j < i cannot become bad: its new key was verified
+				// fresh. edges[i] is rechecked by the while condition.
+			}
+			if !ok {
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		// Every row has exactly d slots; fill them in edge order.
+		deg := int64(d)
+		offsets := make([]int64, n+1)
+		for v := int64(0); v <= n; v++ {
+			offsets[v] = v * deg
+		}
+		neighbors := make([]int64, n*deg)
+		cursor := make([]int64, n)
+		for _, e := range edges {
+			a, b := e[0], e[1]
+			neighbors[a*deg+cursor[a]] = b
+			cursor[a]++
+			neighbors[b*deg+cursor[b]] = a
+			cursor[b]++
+		}
+		return &CSR{GraphName: fmt.Sprintf("random-%d-regular", d), Offsets: offsets, Neighbors: neighbors}
+	}
+	panic("topo: failed to sample a simple legacy random regular graph")
+}
+
 // Gnp samples the Erdős–Rényi graph G(n, p): every unordered pair is an
 // edge independently with probability p. Non-edges are skipped with
 // geometric jumps, so the cost is O(n + m), not O(n²).
@@ -423,6 +531,196 @@ func geometricSkip(r *rng.Rand, p float64) int64 {
 
 // ----- implicit families (O(1) memory, structure computed on the fly) -----
 
+// Complete is the paper's topology: every agent can sample every agent.
+// With IncludeSelf (the paper's convention) samples are uniform over all n
+// vertices including the sampler; without it they are uniform over the
+// other n-1.
+type Complete struct {
+	Vertices    int64
+	IncludeSelf bool
+}
+
+// NewComplete returns the paper's clique (self included).
+func NewComplete(n int64) Complete {
+	if n <= 0 {
+		panic("topo: Complete needs n > 0")
+	}
+	return Complete{Vertices: n, IncludeSelf: true}
+}
+
+// Name implements NeighborSource.
+func (g Complete) Name() string {
+	if g.IncludeSelf {
+		return "complete+self"
+	}
+	return "complete"
+}
+
+// N implements NeighborSource.
+func (g Complete) N() int64 { return g.Vertices }
+
+// Degree implements NeighborSource; with IncludeSelf, v counts itself.
+func (g Complete) Degree(int64) int64 {
+	if g.IncludeSelf {
+		return g.Vertices
+	}
+	return g.Vertices - 1
+}
+
+// Neighbor implements NeighborSource.
+func (g Complete) Neighbor(v, i int64) int64 {
+	if g.IncludeSelf {
+		return i
+	}
+	if i >= v {
+		return i + 1
+	}
+	return i
+}
+
+// SampleNeighbor implements NeighborSource.
+func (g Complete) SampleNeighbor(v int64, r *rng.Rand) int64 {
+	if g.IncludeSelf {
+		return r.Int63n(g.Vertices)
+	}
+	u := r.Int63n(g.Vertices - 1)
+	if u >= v {
+		u++
+	}
+	return u
+}
+
+// Cycle is the n-vertex ring.
+type Cycle struct {
+	Vertices int64
+}
+
+// NewCycle returns a ring on n >= 3 vertices.
+func NewCycle(n int64) Cycle {
+	if n < 3 {
+		panic("topo: Cycle needs n >= 3")
+	}
+	return Cycle{Vertices: n}
+}
+
+// Name implements NeighborSource.
+func (Cycle) Name() string { return "cycle" }
+
+// N implements NeighborSource.
+func (g Cycle) N() int64 { return g.Vertices }
+
+// Degree implements NeighborSource.
+func (Cycle) Degree(int64) int64 { return 2 }
+
+// Neighbor implements NeighborSource.
+func (g Cycle) Neighbor(v, i int64) int64 {
+	if i == 0 {
+		return (v + 1) % g.Vertices
+	}
+	return (v - 1 + g.Vertices) % g.Vertices
+}
+
+// SampleNeighbor implements NeighborSource.
+func (g Cycle) SampleNeighbor(v int64, r *rng.Rand) int64 {
+	return g.Neighbor(v, r.Int63n(2))
+}
+
+// UniformDegree implements the degree-class hint: every vertex has degree
+// 2.
+func (Cycle) UniformDegree() int64 { return 2 }
+
+// Torus is the rows×cols grid with wraparound (4-regular); the registry's
+// default 2-d torus. TorusD generalizes it to any dimension.
+type Torus struct {
+	Rows, Cols int64
+}
+
+// NewTorus returns a torus; both dimensions must be >= 3 so the four
+// neighbors are distinct.
+func NewTorus(rows, cols int64) Torus {
+	if rows < 3 || cols < 3 {
+		panic("topo: Torus needs rows, cols >= 3")
+	}
+	return Torus{Rows: rows, Cols: cols}
+}
+
+// Name implements NeighborSource.
+func (Torus) Name() string { return "torus" }
+
+// N implements NeighborSource.
+func (g Torus) N() int64 { return g.Rows * g.Cols }
+
+// Degree implements NeighborSource.
+func (Torus) Degree(int64) int64 { return 4 }
+
+// Neighbor implements NeighborSource: right, left, down, up.
+func (g Torus) Neighbor(v, i int64) int64 {
+	row, col := v/g.Cols, v%g.Cols
+	switch i {
+	case 0:
+		col = (col + 1) % g.Cols
+	case 1:
+		col = (col - 1 + g.Cols) % g.Cols
+	case 2:
+		row = (row + 1) % g.Rows
+	default:
+		row = (row - 1 + g.Rows) % g.Rows
+	}
+	return row*g.Cols + col
+}
+
+// SampleNeighbor implements NeighborSource.
+func (g Torus) SampleNeighbor(v int64, r *rng.Rand) int64 {
+	return g.Neighbor(v, r.Int63n(4))
+}
+
+// UniformDegree implements the degree-class hint: every vertex has degree
+// 4 (both sides >= 3 keep the four neighbors distinct).
+func (Torus) UniformDegree() int64 { return 4 }
+
+// Star has vertex 0 as the hub adjacent to all leaves.
+type Star struct {
+	Vertices int64
+}
+
+// NewStar returns a star on n >= 2 vertices with hub 0.
+func NewStar(n int64) Star {
+	if n < 2 {
+		panic("topo: Star needs n >= 2")
+	}
+	return Star{Vertices: n}
+}
+
+// Name implements NeighborSource.
+func (Star) Name() string { return "star" }
+
+// N implements NeighborSource.
+func (g Star) N() int64 { return g.Vertices }
+
+// Degree implements NeighborSource.
+func (g Star) Degree(v int64) int64 {
+	if v == 0 {
+		return g.Vertices - 1
+	}
+	return 1
+}
+
+// Neighbor implements NeighborSource.
+func (g Star) Neighbor(v, i int64) int64 {
+	if v == 0 {
+		return i + 1
+	}
+	return 0
+}
+
+// SampleNeighbor implements NeighborSource.
+func (g Star) SampleNeighbor(v int64, r *rng.Rand) int64 {
+	if v == 0 {
+		return 1 + r.Int63n(g.Vertices-1)
+	}
+	return 0
+}
+
 // Hypercube is the Dim-dimensional boolean hypercube on 2^Dim vertices:
 // u ~ v iff they differ in exactly one bit. Deterministic and implicit —
 // neighbor i of v is v with bit i flipped.
@@ -443,23 +741,23 @@ func NewHypercube(n int64) Hypercube {
 	return Hypercube{Dim: dim}
 }
 
-// Name implements graph.Graph.
+// Name implements NeighborSource.
 func (Hypercube) Name() string { return "hypercube" }
 
-// N implements graph.Graph.
+// N implements NeighborSource.
 func (g Hypercube) N() int64 { return 1 << g.Dim }
 
-// Degree implements graph.Graph.
+// Degree implements NeighborSource.
 func (g Hypercube) Degree(int64) int64 { return int64(g.Dim) }
 
-// Neighbor implements graph.Graph.
+// Neighbor implements NeighborSource.
 func (g Hypercube) Neighbor(v, i int64) int64 { return v ^ (1 << i) }
 
 // UniformDegree implements the degree-class hint: every vertex has degree
 // Dim.
 func (g Hypercube) UniformDegree() int64 { return int64(g.Dim) }
 
-// SampleNeighbor implements graph.Graph.
+// SampleNeighbor implements NeighborSource.
 func (g Hypercube) SampleNeighbor(v int64, r *rng.Rand) int64 {
 	return v ^ (1 << r.Int63n(int64(g.Dim)))
 }
@@ -528,16 +826,16 @@ func satPow(b int64, e int) int64 {
 	return p
 }
 
-// Name implements graph.Graph.
+// Name implements NeighborSource.
 func (g TorusD) Name() string { return fmt.Sprintf("torus%dd", g.Dims) }
 
-// N implements graph.Graph.
+// N implements NeighborSource.
 func (g TorusD) N() int64 { return satPow(g.Side, g.Dims) }
 
-// Degree implements graph.Graph.
+// Degree implements NeighborSource.
 func (g TorusD) Degree(int64) int64 { return int64(2 * g.Dims) }
 
-// Neighbor implements graph.Graph: neighbor 2j / 2j+1 steps +1 / -1 along
+// Neighbor implements NeighborSource: neighbor 2j / 2j+1 steps +1 / -1 along
 // dimension j.
 func (g TorusD) Neighbor(v, i int64) int64 {
 	dim := i / 2
@@ -554,7 +852,7 @@ func (g TorusD) Neighbor(v, i int64) int64 {
 	return v + (next-digit)*stride
 }
 
-// SampleNeighbor implements graph.Graph.
+// SampleNeighbor implements NeighborSource.
 func (g TorusD) SampleNeighbor(v int64, r *rng.Rand) int64 {
 	return g.Neighbor(v, r.Int63n(int64(2*g.Dims)))
 }

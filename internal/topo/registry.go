@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"plurality/internal/graph"
 	"plurality/internal/rng"
 )
 
@@ -16,9 +15,10 @@ import (
 // family name plus colon-separated parameters ("regular:8",
 // "smallworld:10:0.1", "sbm:4:0.01:0.0005"); Validate checks it in
 // constant time against n and the resource caps below (never panicking,
-// so a hostile service spec is a 400, not a crash), and Build constructs
-// the validated graph. cmd/sweep, internal/service, cmd/validate, and
-// examples/topologies all resolve names here — there is no other parser.
+// so a hostile service spec is a 400, not a crash), and BuildSource
+// constructs the validated graph. cmd/sweep, internal/service,
+// cmd/validate, and examples/topologies all resolve names here — there is
+// no other parser.
 
 // Resource caps enforced by Validate. They bound what one topology can pin
 // in memory: MaxAdjEntries bounds len(CSR.Neighbors) (2 edges per entry
@@ -51,7 +51,7 @@ type family struct {
 	name  string
 	usage string
 	doc   string
-	// random reports whether Build consumes randomness.
+	// random reports whether build consumes randomness.
 	random bool
 	// implicit reports whether the family's default build is an O(1)-memory
 	// functional graph (neighbors computed, never stored) rather than a
@@ -63,7 +63,7 @@ type family struct {
 	// never panic.
 	validate func(n int64, params []string) (canon string, err error)
 	// build constructs the graph; the spec must have passed validate.
-	build func(canon string, n int64, params []string, r *rng.Rand) graph.Graph
+	build func(canon string, n int64, params []string, r *rng.Rand) NeighborSource
 }
 
 // families is the registry, in documentation order.
@@ -81,8 +81,8 @@ var families = []family{
 			}
 			return "complete", nil
 		},
-		build: func(_ string, n int64, _ []string, _ *rng.Rand) graph.Graph {
-			return graph.NewComplete(n)
+		build: func(_ string, n int64, _ []string, _ *rng.Rand) NeighborSource {
+			return NewComplete(n)
 		},
 	},
 	{
@@ -98,8 +98,8 @@ var families = []family{
 			}
 			return "cycle", nil
 		},
-		build: func(_ string, n int64, _ []string, _ *rng.Rand) graph.Graph {
-			return graph.NewCycle(n)
+		build: func(_ string, n int64, _ []string, _ *rng.Rand) NeighborSource {
+			return NewCycle(n)
 		},
 	},
 	{
@@ -115,8 +115,8 @@ var families = []family{
 			}
 			return "star", nil
 		},
-		build: func(_ string, n int64, _ []string, _ *rng.Rand) graph.Graph {
-			return graph.NewStar(n)
+		build: func(_ string, n int64, _ []string, _ *rng.Rand) NeighborSource {
+			return NewStar(n)
 		},
 	},
 	{
@@ -144,10 +144,10 @@ var families = []family{
 			}
 			return fmt.Sprintf("torus:%d", dims), nil
 		},
-		build: func(_ string, n int64, ps []string, _ *rng.Rand) graph.Graph {
+		build: func(_ string, n int64, ps []string, _ *rng.Rand) NeighborSource {
 			if len(ps) == 0 {
 				side, _ := intRoot(n, 2)
-				return graph.NewTorus(side, side)
+				return NewTorus(side, side)
 			}
 			dims, _ := strconv.ParseInt(ps[0], 10, 64)
 			return NewTorusD(n, int(dims))
@@ -169,7 +169,7 @@ var families = []family{
 			}
 			return "hypercube", nil
 		},
-		build: func(_ string, n int64, _ []string, _ *rng.Rand) graph.Graph {
+		build: func(_ string, n int64, _ []string, _ *rng.Rand) NeighborSource {
 			return NewHypercube(n)
 		},
 	},
@@ -196,7 +196,7 @@ var families = []family{
 			}
 			return fmt.Sprintf("regular:%d", d), nil
 		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) graph.Graph {
+		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
 			d, _ := strconv.ParseInt(ps[0], 10, 64)
 			return RandomRegular(canon, n, d, r)
 		},
@@ -221,7 +221,7 @@ var families = []family{
 			}
 			return fmt.Sprintf("gnp:%g", p), nil
 		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) graph.Graph {
+		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
 			p, _ := strconv.ParseFloat(ps[0], 64)
 			return Gnp(canon, n, p, r)
 		},
@@ -256,7 +256,7 @@ var families = []family{
 			}
 			return fmt.Sprintf("smallworld:%d:%g", k, beta), nil
 		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) graph.Graph {
+		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
 			k, _ := strconv.ParseInt(ps[0], 10, 64)
 			beta, _ := strconv.ParseFloat(ps[1], 64)
 			return SmallWorld(canon, n, k, beta, r)
@@ -282,7 +282,7 @@ var families = []family{
 			}
 			return fmt.Sprintf("ba:%d", m), nil
 		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) graph.Graph {
+		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
 			m, _ := strconv.ParseInt(ps[0], 10, 64)
 			return BarabasiAlbert(canon, n, m, r)
 		},
@@ -320,7 +320,7 @@ var families = []family{
 			}
 			return fmt.Sprintf("sbm:%d:%g:%g", blocks, pin, pout), nil
 		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) graph.Graph {
+		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
 			blocks, _ := strconv.ParseInt(ps[0], 10, 64)
 			pin, _ := strconv.ParseFloat(ps[1], 64)
 			pout, _ := strconv.ParseFloat(ps[2], 64)
@@ -351,7 +351,7 @@ var families = []family{
 			}
 			return fmt.Sprintf("barbell:%d", d), nil
 		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) graph.Graph {
+		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
 			d, _ := strconv.ParseInt(ps[0], 10, 64)
 			return Barbell(canon, n, d, r)
 		},
@@ -397,7 +397,7 @@ func Validate(spec string, n int64) error {
 }
 
 // Canonical validates the spec and returns its canonical form (numeric
-// parameters normalized), which is what Build stamps into CSR.GraphName
+// parameters normalized), which is what BuildSource stamps into CSR.GraphName
 // and what callers should persist in records.
 func Canonical(spec string, n int64) (string, error) {
 	f, params, err := lookup(spec)
@@ -429,23 +429,6 @@ func IsImplicit(spec string) (bool, error) {
 	return f.implicit, nil
 }
 
-// Build validates the spec and constructs the topology on n vertices. All
-// randomness comes from r, so the graph is a pure function of
-// (spec, n, r's state); deterministic families accept a nil r. Build is
-// BuildSource in ModeAuto, kept for the many callers that want the family
-// default and nothing else.
-func Build(spec string, n int64, r *rng.Rand) (graph.Graph, error) {
-	f, params, err := lookup(spec)
-	if err != nil {
-		return nil, err
-	}
-	canon, err := f.validate(n, params)
-	if err != nil {
-		return nil, err
-	}
-	return f.build(canon, n, params, r), nil
-}
-
 // Mode selects the backend representation BuildSource constructs behind
 // the NeighborSource interface. Every mode honors the same rng byte
 // contract, so for overlapping (spec, n, seed) the modes produce
@@ -455,7 +438,7 @@ type Mode string
 
 const (
 	// ModeAuto is the family default: implicit families stay implicit,
-	// generator families build an in-RAM CSR. Identical to Build.
+	// generator families build an in-RAM CSR.
 	ModeAuto Mode = "auto"
 	// ModeImplicit requires the family's O(1)-memory functional backend
 	// and errors for families that must materialize.
@@ -490,10 +473,11 @@ type BuildOpts struct {
 }
 
 // BuildSource validates the spec and constructs it behind the selected
-// backend. Like Build, the result is a pure function of (spec, n, r's
-// state, opts) — in mmap mode a pre-existing file at opts.Path is reused
-// without consuming r, which is only sound because files written by this
-// function are themselves pure functions of the same inputs.
+// backend. All randomness comes from r, so the result is a pure function
+// of (spec, n, r's state, opts); deterministic families accept a nil r.
+// In mmap mode a pre-existing file at opts.Path is reused without
+// consuming r, which is only sound because files written by this function
+// are themselves pure functions of the same inputs.
 //
 // The returned source may hold an OS resource (mmap mode): callers that
 // care should close it via an io.Closer type assertion when done.
@@ -582,7 +566,7 @@ func implicitFamilyNames() []string {
 
 // checkBuilderN guards every builder-backed (materialized) family: the CSR
 // builder addresses at most 2^31 vertices, so Validate must reject larger
-// n here or Build would panic — and with n < 2^31 and degree parameters
+// n here or BuildSource would panic — and with n < 2^31 and degree parameters
 // capped at MaxDegreeParam, the n·d cap arithmetic cannot overflow int64.
 // The n >= 2^31 branch is a size-cap rejection (ErrTooLarge), distinct
 // from the malformed n < 1.

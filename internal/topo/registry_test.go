@@ -35,9 +35,9 @@ func TestRegistryBuildAllFamilies(t *testing.T) {
 			t.Errorf("Validate(%q, %d): %v", tc.spec, tc.n, err)
 			continue
 		}
-		g, err := Build(tc.spec, tc.n, rng.New(1))
+		g, err := BuildSource(tc.spec, tc.n, rng.New(1), BuildOpts{})
 		if err != nil {
-			t.Errorf("Build(%q, %d): %v", tc.spec, tc.n, err)
+			t.Errorf("BuildSource(%q, %d): %v", tc.spec, tc.n, err)
 			continue
 		}
 		if g.N() != tc.n {
@@ -156,11 +156,11 @@ func TestRegistryIsRandom(t *testing.T) {
 func TestRegistryBuildDeterministic(t *testing.T) {
 	// Registry-resolved builds are pure functions of (spec, n, seed).
 	for _, spec := range []string{"regular:4", "smallworld:6:0.2", "ba:3", "sbm:3:0.2:0.02", "barbell:4", "gnp:0.08"} {
-		a, err := Build(spec, 120, rng.New(99))
+		a, err := BuildSource(spec, 120, rng.New(99), BuildOpts{})
 		if err != nil {
-			t.Fatalf("Build(%q): %v", spec, err)
+			t.Fatalf("BuildSource(%q): %v", spec, err)
 		}
-		b, _ := Build(spec, 120, rng.New(99))
+		b, _ := BuildSource(spec, 120, rng.New(99), BuildOpts{})
 		ca, cb := a.(*CSR), b.(*CSR)
 		if ca.GraphName != cb.GraphName {
 			t.Errorf("%q: names differ", spec)

@@ -7,11 +7,9 @@ import (
 )
 
 // NeighborSource is the engine↔topology contract: the minimal surface the
-// graph engine samples neighbors through. It is deliberately identical to
-// graph.Graph's method set, so every legacy graph value satisfies it by
-// plain interface conversion — the engine has exactly one generic sampling
-// loop, shared by implicit backends, mmap backends, and the legacy graph
-// package alike.
+// graph engine samples neighbors through, and the one topology interface
+// in the repository. The engine has exactly one generic sampling loop,
+// shared by implicit backends, in-RAM CSRs and mmap backends alike.
 //
 // The rng byte contract every implementation must honor (the golden traces
 // pin it): SampleNeighbor consumes exactly one Int63n(Degree(u)) draw per
@@ -38,9 +36,9 @@ type NeighborSource interface {
 }
 
 // Flat is the optional fast-path surface: sources whose adjacency lives in
-// flat int64 offset/neighbor arrays (in-RAM CSR, the legacy adjacency
-// list) expose them so the engine's hot loop can index the slices directly
-// instead of making two interface calls per sample. The arrays must satisfy
+// flat int64 offset/neighbor arrays (the in-RAM CSR) expose them so the
+// engine's hot loop can index the slices directly instead of making two
+// interface calls per sample. The arrays must satisfy
 // the CSR invariants (offsets nondecreasing, len(offsets) == N()+1,
 // neighbors of v at offsets[v]:offsets[v+1]) and must not be mutated while
 // an engine is stepping.
@@ -74,7 +72,7 @@ type UniformDegree interface {
 // break byte-identity between the implicit and materialized backends of
 // the same topology. (Generator-built CSRs sort rows as their canonical
 // layout; a materialized implicit family's canonical layout is its
-// enumeration order.)
+// enumeration order.) Tests that compare edge sets sort rows themselves.
 //
 // The name becomes the CSR's GraphName (registry callers pass the
 // canonical spec). Returns ErrTooLarge when the source exceeds the

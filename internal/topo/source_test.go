@@ -116,36 +116,19 @@ func TestMaterializeCSRPreservesEnumerationOrder(t *testing.T) {
 // with the typed ErrTooLarge, not a panic or an OOM attempt.
 func TestMaterializeCSRCapErrors(t *testing.T) {
 	// complete at n=2^15 wants ~2^30 entries > MaxAdjEntries (2^28).
-	if _, err := MaterializeCSR("complete", completeSrc{1 << 15}); !errors.Is(err, ErrTooLarge) {
+	if _, err := MaterializeCSR("complete", Complete{Vertices: 1 << 15}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("adjacency cap: got %v, want ErrTooLarge", err)
 	}
-	if _, err := MaterializeCSR("x", completeSrc{MaxBuilderN}); !errors.Is(err, ErrTooLarge) {
+	if _, err := MaterializeCSR("x", Complete{Vertices: MaxBuilderN}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("vertex cap: got %v, want ErrTooLarge", err)
 	}
-}
-
-// completeSrc is a minimal n-clique NeighborSource for cap tests (degree
-// n-1, never materialized past the cap check).
-type completeSrc struct{ n int64 }
-
-func (c completeSrc) Name() string       { return "complete" }
-func (c completeSrc) N() int64           { return c.n }
-func (c completeSrc) Degree(int64) int64 { return c.n - 1 }
-func (c completeSrc) Neighbor(v, i int64) int64 {
-	if i >= v {
-		return i + 1
-	}
-	return i
-}
-func (c completeSrc) SampleNeighbor(v int64, r *rng.Rand) int64 {
-	return c.Neighbor(v, r.Int63n(c.n-1))
 }
 
 // TestBuildSourceModes covers the registry's mode dispatch.
 func TestBuildSourceModes(t *testing.T) {
 	dir := t.TempDir()
 
-	// auto matches Build for both family kinds.
+	// auto keeps each family kind's default backend.
 	if src, err := BuildSource("torus", 64, nil, BuildOpts{}); err != nil {
 		t.Fatal(err)
 	} else if _, isCSR := src.(*CSR); isCSR {

@@ -6,8 +6,8 @@
 // — these estimators let every graph run report its gap alongside its
 // convergence rounds (experiment E20).
 //
-// The estimators iterate neighbors through the graph.Graph interface, so
-// they work on CSR and implicit topologies alike; cost is O(iterations ·
+// The estimators iterate neighbors through topo.NeighborSource, so they
+// work on CSR, mmap and implicit topologies alike; cost is O(iterations ·
 // Σ degree). The dense complete graph is answered analytically.
 package spectral
 
@@ -17,8 +17,8 @@ import (
 	"math"
 	"sort"
 
-	"plurality/internal/graph"
 	"plurality/internal/rng"
+	"plurality/internal/topo"
 )
 
 // Result carries the spectral diagnostics of one topology.
@@ -59,14 +59,14 @@ var ErrTooDense = errors.New("spectral: graph too dense to iterate (volume over 
 // Diagnose estimates Result for g. Randomness (the start vector) comes
 // from r, so the estimate is deterministic per seed; the eigenvalue it
 // converges to is seed-independent up to Tol.
-func Diagnose(g graph.Graph, r *rng.Rand, opt Options) (Result, error) {
+func Diagnose(g topo.NeighborSource, r *rng.Rand, opt Options) (Result, error) {
 	if opt.MaxIters <= 0 {
 		opt.MaxIters = 500
 	}
 	if opt.Tol <= 0 {
 		opt.Tol = 1e-9
 	}
-	if c, ok := g.(graph.Complete); ok {
+	if c, ok := g.(topo.Complete); ok {
 		return completeResult(c), nil
 	}
 	n := g.N()
@@ -144,7 +144,7 @@ func Diagnose(g graph.Graph, r *rng.Rand, opt Options) (Result, error) {
 
 // completeResult answers the dense clique analytically: with self-sampling
 // the walk matrix is J/n (second eigenvalue 0), without it (J-I)/(n-1).
-func completeResult(c graph.Complete) Result {
+func completeResult(c topo.Complete) Result {
 	n := float64(c.Vertices)
 	walk2 := 0.0
 	if !c.IncludeSelf {
@@ -163,7 +163,7 @@ func completeResult(c graph.Complete) Result {
 // with isolated vertices treated as self-loops. invSqrt holds the
 // precomputed 1/sqrt(degree) per vertex, so the per-edge work inside the
 // up-to-500-iteration power loop is one multiply, not a sqrt and divide.
-func applyLazyWalk(g graph.Graph, invSqrt, x, y []float64) {
+func applyLazyWalk(g topo.NeighborSource, invSqrt, x, y []float64) {
 	n := g.N()
 	for v := int64(0); v < n; v++ {
 		d := g.Degree(v)
@@ -213,7 +213,7 @@ func normalize(x []float64) float64 {
 // (the walk eigenvector) and returns the minimum conductance
 // cut(S)/min(vol S, vol V∖S) over all prefix cuts S — the classic Cheeger
 // sweep, an upper bound on the graph's true conductance.
-func sweepConductance(g graph.Graph, deg []float64, x []float64) float64 {
+func sweepConductance(g topo.NeighborSource, deg []float64, x []float64) float64 {
 	n := g.N()
 	order := make([]int64, n)
 	for v := range order {

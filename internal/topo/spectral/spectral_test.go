@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"plurality/internal/graph"
 	"plurality/internal/rng"
 	"plurality/internal/topo"
 )
@@ -12,7 +11,7 @@ import (
 // diagnose runs with a deep iteration budget: the closed-form checks need
 // tight eigenvalue accuracy even where adjacent eigenvalues nearly
 // coincide (the cycle), which the production defaults don't aim for.
-func diagnose(t *testing.T, g graph.Graph) Result {
+func diagnose(t *testing.T, g topo.NeighborSource) Result {
 	t.Helper()
 	res, err := Diagnose(g, rng.New(7), Options{MaxIters: 30000, Tol: 1e-14})
 	if err != nil {
@@ -22,7 +21,7 @@ func diagnose(t *testing.T, g graph.Graph) Result {
 }
 
 func TestCompleteAnalytic(t *testing.T) {
-	res := diagnose(t, graph.NewComplete(1000))
+	res := diagnose(t, topo.NewComplete(1000))
 	if math.Abs(res.Lambda2-0.5) > 1e-12 || math.Abs(res.SpectralGap-0.5) > 1e-12 {
 		t.Errorf("clique+self: lambda2 %v gap %v, want 0.5 / 0.5", res.Lambda2, res.SpectralGap)
 	}
@@ -35,7 +34,7 @@ func TestCycleMatchesClosedForm(t *testing.T) {
 	// Walk matrix of the n-cycle has second eigenvalue cos(2π/n); the
 	// lazy version (1+cos(2π/n))/2.
 	const n = 64
-	res := diagnose(t, graph.NewCycle(n))
+	res := diagnose(t, topo.NewCycle(n))
 	want := (1 + math.Cos(2*math.Pi/n)) / 2
 	if math.Abs(res.Lambda2-want) > 1e-6 {
 		t.Errorf("cycle lambda2 %v, want %v", res.Lambda2, want)
@@ -92,8 +91,8 @@ func TestCheegerConsistency(t *testing.T) {
 	// only check the lower branch plus sanity bounds. gap2 is the
 	// non-lazy normalized gap = 2·SpectralGap.
 	r := rng.New(5)
-	gs := []graph.Graph{
-		graph.NewCycle(100),
+	gs := []topo.NeighborSource{
+		topo.NewCycle(100),
 		topo.NewHypercube(128),
 		topo.RandomRegular("regular:6", 500, 6, r),
 		topo.SmallWorld("smallworld:6:0.2", 500, 6, 0.2, r),

@@ -7,10 +7,10 @@ import (
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
 	"plurality/internal/exact"
-	"plurality/internal/graph"
 	"plurality/internal/mc"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
+	"plurality/internal/topo"
 )
 
 // EngineFactory builds one engine instance for a replicate. All engine
@@ -36,7 +36,7 @@ type ChainSpec struct {
 
 // opaqueGraph hides the concrete graph type from GraphEngine's clique
 // fast-path assertion, forcing the literal neighbor-sampling path.
-type opaqueGraph struct{ graph.Graph }
+type opaqueGraph struct{ topo.NeighborSource }
 
 // threeMajorityChain is the shared ground-truth constructor for the
 // paper's rule.
@@ -83,7 +83,7 @@ func CliqueSpecs(initial colorcfg.Config, rounds int) []ChainSpec {
 			Name: "graph-complete/3majority/" + tag,
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				return engine.NewGraphEngine(dynamics.ThreeMajority{},
-					graph.NewComplete(init.N()), init, 1, r.Uint64(), nil)
+					topo.NewComplete(init.N()), init, 1, r.Uint64(), nil)
 			},
 			NewChain: threeMajorityChain,
 			Initial:  cfg, Rounds: rounds,
@@ -92,7 +92,7 @@ func CliqueSpecs(initial colorcfg.Config, rounds int) []ChainSpec {
 			Name: "graph-complete-literal/3majority/" + tag,
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				return engine.NewGraphEngine(dynamics.ThreeMajority{},
-					opaqueGraph{graph.NewComplete(init.N())}, init, 1, r.Uint64(), nil)
+					opaqueGraph{topo.NewComplete(init.N())}, init, 1, r.Uint64(), nil)
 			},
 			NewChain: threeMajorityChain,
 			Initial:  cfg, Rounds: rounds,

@@ -9,7 +9,6 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
-	"plurality/internal/graph"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
 	"plurality/internal/topo"
@@ -88,7 +87,7 @@ func StandardGoldenSpecs() []GoldenSpec {
 			Name: "graph-complete-w2-3majority-n64-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				return engine.NewGraphEngine(dynamics.ThreeMajority{},
-					graph.NewComplete(init.N()), init, 2, r.Uint64(), nil)
+					topo.NewComplete(init.N()), init, 2, r.Uint64(), nil)
 			},
 			Initial: colorcfg.Biased(64, 3, 12), Rounds: 15, Seed: 1005,
 		},
@@ -96,7 +95,7 @@ func StandardGoldenSpecs() []GoldenSpec {
 			Name: "graph-literal-w1-3majority-n48-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				return engine.NewGraphEngine(dynamics.ThreeMajority{},
-					opaqueGraph{graph.NewComplete(init.N())}, init, 1, r.Uint64(), nil)
+					opaqueGraph{topo.NewComplete(init.N())}, init, 1, r.Uint64(), nil)
 			},
 			Initial: colorcfg.Biased(48, 3, 9), Rounds: 12, Seed: 1006,
 		},
@@ -105,14 +104,14 @@ func StandardGoldenSpecs() []GoldenSpec {
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				layout := rng.New(r.Uint64())
 				return engine.NewGraphEngine(dynamics.ThreeMajority{},
-					graph.NewRandomRegular(init.N(), 8, rng.New(r.Uint64())), init, 2, r.Uint64(), layout)
+					topo.LegacyRandomRegular(init.N(), 8, rng.New(r.Uint64())), init, 2, r.Uint64(), layout)
 			},
 			Initial: colorcfg.Biased(64, 4, 16), Rounds: 15, Seed: 1007,
 		},
 		{
 			Name: "graph-smallworld-w2-3majority-n64-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
-				g, err := topo.Build("smallworld:6:0.2", init.N(), rng.New(r.Uint64()))
+				g, err := topo.BuildSource("smallworld:6:0.2", init.N(), rng.New(r.Uint64()), topo.BuildOpts{})
 				if err != nil {
 					panic(fmt.Sprintf("golden smallworld build: %v", err))
 				}
@@ -151,7 +150,7 @@ func StandardGoldenSpecs() []GoldenSpec {
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				layout := rng.New(r.Uint64())
 				return engine.NewGraphEngineOpts(dynamics.ThreeMajority{UniformTie: true},
-					graph.NewRandomRegular(init.N(), 6, rng.New(r.Uint64())), init, 2, r.Uint64(), layout,
+					topo.LegacyRandomRegular(init.N(), 6, rng.New(r.Uint64())), init, 2, r.Uint64(), layout,
 					engine.GraphOpts{Sampler: engine.SamplerBatch})
 			},
 			Initial: colorcfg.Biased(64, 4, 16), Rounds: 15, Seed: 1013,

@@ -38,8 +38,8 @@ type GraphContractSpec struct {
 	Sampler engine.Sampler
 }
 
-// StandardGraphSpecs covers every family the topo registry added beyond
-// the legacy set, at sizes the quick tier afford.
+// StandardGraphSpecs covers the registry's generator and higher-dimension
+// implicit families at sizes the quick tier affords.
 func StandardGraphSpecs() []GraphContractSpec {
 	mk := func(spec string, n int64) GraphContractSpec {
 		return GraphContractSpec{Spec: spec, N: n, K: 3, Bias: n / 6, Rounds: 8, Workers: 2, Seed: 7101}
@@ -100,7 +100,7 @@ func CheckGraphContract(spec GraphContractSpec, opts Options) CheckResult {
 		return res
 	}
 
-	g, err := topo.Build(spec.Spec, spec.N, rng.New(seed))
+	g, err := topo.BuildSource(spec.Spec, spec.N, rng.New(seed), topo.BuildOpts{})
 	if err != nil {
 		return fail("build: %v", err)
 	}
@@ -111,7 +111,7 @@ func CheckGraphContract(spec GraphContractSpec, opts Options) CheckResult {
 	if isCSR {
 		// Generator determinism: the registry must reproduce the graph
 		// byte for byte from the same seed.
-		g2, err := topo.Build(spec.Spec, spec.N, rng.New(seed))
+		g2, err := topo.BuildSource(spec.Spec, spec.N, rng.New(seed), topo.BuildOpts{})
 		if err != nil {
 			return fail("rebuild: %v", err)
 		}
