@@ -189,6 +189,45 @@ func TestLegacyRandomRegularPanics(t *testing.T) {
 	})
 }
 
+func TestErdosRenyi(t *testing.T) {
+	r := rng.New(7)
+	const n, p = 400, 0.05
+	g := Gnp("gnp", n, p, r)
+	checkSourceInvariants(t, g)
+	checkSymmetric(t, g)
+	// Edge count ~ Binomial(C(n,2), p); mean 3990, sd ~ 61.6.
+	var twiceEdges int64
+	for v := int64(0); v < n; v++ {
+		twiceEdges += g.Degree(v)
+	}
+	edges := float64(twiceEdges) / 2
+	mean := float64(n*(n-1)) / 2 * p
+	sd := math.Sqrt(float64(n*(n-1)) / 2 * p * (1 - p))
+	if math.Abs(edges-mean) > 6*sd {
+		t.Errorf("edge count %v far from mean %v (sd %v)", edges, mean, sd)
+	}
+}
+
+func TestErdosRenyiExtremes(t *testing.T) {
+	r := rng.New(8)
+	empty := Gnp("gnp", 10, 0, r)
+	for v := int64(0); v < 10; v++ {
+		if empty.Degree(v) != 0 {
+			t.Errorf("G(n,0) has an edge at %d", v)
+		}
+		// Isolated vertices sample themselves.
+		if empty.SampleNeighbor(v, r) != v {
+			t.Error("isolated vertex must sample itself")
+		}
+	}
+	full := Gnp("gnp", 10, 1, r)
+	for v := int64(0); v < 10; v++ {
+		if full.Degree(v) != 9 {
+			t.Errorf("G(n,1) vertex %d degree %d, want 9", v, full.Degree(v))
+		}
+	}
+}
+
 func TestGnpPanics(t *testing.T) {
 	r := rng.New(9)
 	expectPanics(t, map[string]func(){
