@@ -141,7 +141,7 @@ type graphLoop struct {
 	// offsets/neighbors are non-nil only when src exposes topo.Flat; the
 	// workers then index these arrays directly.
 	offsets   []int64
-	neighbors []int64
+	neighbors []int32
 	h         int
 	// unifDeg, when positive, promises every vertex has exactly this
 	// degree (from the topo.UniformDegree hint or a one-time offsets
@@ -207,9 +207,7 @@ func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial col
 		cfg: initial.Clone(),
 	}
 	if layoutRng != nil {
-		layoutRng.Shuffle(len(e.bufs.colors), func(i, j int) {
-			e.bufs.colors[i], e.bufs.colors[j] = e.bufs.colors[j], e.bufs.colors[i]
-		})
+		rng.Shuffle(layoutRng, e.bufs.colors)
 	}
 	lp := &graphLoop{src: src, rule: rule, bufs: e.bufs, h: h}
 	if c, ok := src.(topo.Complete); ok && c.IncludeSelf {
@@ -415,7 +413,7 @@ func (w *graphWorker) runFlatBatch(lp *graphLoop) {
 			for lo := offsets[v0]; lo < offsets[v0+m]; lo += d {
 				row := neighbors[lo : lo+d]
 				for s := int64(0); s < h; s++ {
-					idx[p] = row[idx[p]]
+					idx[p] = int64(row[idx[p]])
 					p++
 				}
 			}
@@ -464,7 +462,7 @@ func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 			for lo2 < thresh {
 				hi, lo2 = bits.Mul64(r.Uint64(), d)
 			}
-			idx[p] = neighbors[lo+int64(hi)]
+			idx[p] = int64(neighbors[lo+int64(hi)])
 			p++
 		}
 	}
@@ -489,7 +487,7 @@ func (w *graphWorker) fillFlatRelaxed(lp *graphLoop, idx []int64, v0, m int64) {
 		}
 		for s := 0; s < h; s++ {
 			hi, _ := bits.Mul64(r.Uint64(), d)
-			idx[p] = neighbors[lo+int64(hi)]
+			idx[p] = int64(neighbors[lo+int64(hi)])
 			p++
 		}
 	}
@@ -605,7 +603,7 @@ func (w *graphWorker) runFlatSerial(lp *graphLoop) {
 		for s := 0; s < h; s++ {
 			u := v
 			if d != 0 {
-				u = neighbors[lo+w.r.Int63n(d)]
+				u = int64(neighbors[lo+w.r.Int63n(d)])
 			}
 			w.buf[s] = colors[u]
 		}

@@ -155,11 +155,27 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using the provided swap
-// function (Fisher–Yates).
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
+// shuffleBlock is how many swap indices Shuffle draws before it swaps.
+const shuffleBlock = 256
+
+// Shuffle pseudo-randomizes the order of s (Fisher–Yates: for i from
+// len(s)-1 down to 1, swap s[i] with s[Intn(i+1)]). The draws do not depend
+// on the slice contents, so it draws a block of up to shuffleBlock indices
+// first and then swaps; the random-access swaps of a block no longer wait
+// behind the generator, and the draws, the final order and the final rng
+// state equal the one-at-a-time loop's.
+func Shuffle[T any](r *Rand, s []T) {
+	var js [shuffleBlock]uint64
+	for i := len(s) - 1; i > 0; {
+		m := min(i, shuffleBlock)
+		for k := range m {
+			js[k] = r.Uint64n(uint64(i - k + 1))
+		}
+		for k := range m {
+			j := js[k]
+			s[i-k], s[j] = s[j], s[i-k]
+		}
+		i -= m
 	}
 }
 

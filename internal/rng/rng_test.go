@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -145,7 +146,7 @@ func TestPermUniformFirstElement(t *testing.T) {
 func TestShuffle(t *testing.T) {
 	r := New(13)
 	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	Shuffle(r, xs)
 	seen := make(map[int]bool)
 	for _, v := range xs {
 		if seen[v] {
@@ -155,6 +156,42 @@ func TestShuffle(t *testing.T) {
 	}
 	if len(seen) != 8 {
 		t.Fatalf("shuffle lost elements: %v", xs)
+	}
+}
+
+// refShuffle is the one-draw-then-one-swap Fisher–Yates loop that
+// Shuffle's block-drawn version must reproduce exactly.
+func refShuffle[T any](r *Rand, s []T) {
+	for i := len(s) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		s[i], s[j] = s[j], s[i]
+	}
+}
+
+// checkShuffleMatchesReference shuffles 0..n-1 with Shuffle and with
+// refShuffle from the same seed and requires equal output and equal
+// generator state afterwards.
+func checkShuffleMatchesReference[T int32 | int64](t *testing.T, n int) {
+	t.Helper()
+	got, want := make([]T, n), make([]T, n)
+	for i := range got {
+		got[i], want[i] = T(i), T(i)
+	}
+	rg, rw := New(uint64(n)+7), New(uint64(n)+7)
+	Shuffle(rg, got)
+	refShuffle(rw, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("n=%d: Shuffle order differs from the reference Fisher–Yates", n)
+	}
+	if *rg != *rw {
+		t.Fatalf("n=%d: rng state after Shuffle differs from the reference", n)
+	}
+}
+
+func TestShuffleMatchesFisherYates(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 255, 256, 257, 513, 100_000} {
+		checkShuffleMatchesReference[int32](t, n)
+		checkShuffleMatchesReference[int64](t, n)
 	}
 }
 
@@ -261,4 +298,19 @@ func BenchmarkFloat64(b *testing.B) {
 		sink += r.Float64()
 	}
 	_ = sink
+}
+
+// BenchmarkShuffle shuffles 2^25 int32s, the size of the stub array of a
+// regular:8 graph at n = 2^22.
+func BenchmarkShuffle(b *testing.B) {
+	s := make([]int32, 1<<25)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	r := New(1)
+	b.SetBytes(int64(4 * len(s)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Shuffle(r, s)
+	}
 }

@@ -9,13 +9,15 @@
 // surface (cmd/sweep, internal/service, cmd/validate, examples/topologies)
 // resolves topology specs through.
 //
-// A CSR keeps its neighbors in one flat int64 array indexed by a flat
-// offset array, so degree lookup is O(1), neighbor scans are cache-linear,
-// and the whole structure serializes to disk (WriteTo/ReadCSR/OpenCSR) so
-// an expensive generated graph is buildable once and reusable across sweep
-// cells. The engine indexes flat sources (Flat) directly; the rng draw
-// sequence (one Int63n(degree) per sample) is byte-identical to the
-// NeighborSource interface path.
+// A CSR keeps its neighbors in one flat int32 array (every vertex id is
+// below MaxBuilderN = 2^31) indexed by a flat int64 offset array, so degree
+// lookup is O(1), neighbor scans are cache-linear, and the whole structure
+// serializes to disk (WriteTo/ReadCSR/OpenCSR) so an expensive generated
+// graph is buildable once and reusable across sweep cells. The file stores
+// both arrays as uint64s; only the in-RAM neighbor array is narrowed. The
+// engine indexes flat sources (Flat) directly; the rng draw sequence (one
+// Int63n(degree) per sample) is byte-identical to the NeighborSource
+// interface path.
 //
 // All generators draw exclusively from an explicit *rng.Rand, so every
 // graph is a pure function of (spec, n, seed): byte-identical across runs,
@@ -24,6 +26,7 @@ package topo
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -43,11 +46,12 @@ type CSR struct {
 	GraphName string
 	// Offsets has length N()+1 with Offsets[0] = 0, nondecreasing.
 	Offsets []int64
-	// Neighbors holds the concatenated adjacency rows. Builder and the
-	// registry generators sort each row; MaterializeCSR and
-	// LegacyRandomRegular keep the source's enumeration order, which is
-	// part of the rng byte contract (see NeighborSource.Neighbor).
-	Neighbors []int64
+	// Neighbors holds the concatenated adjacency rows as int32 vertex ids
+	// (4 bytes per entry; n < MaxBuilderN = 2^31 makes every id fit).
+	// Builder and the registry generators sort each row; MaterializeCSR
+	// and LegacyRandomRegular keep the source's enumeration order, which
+	// is part of the rng byte contract (see NeighborSource.Neighbor).
+	Neighbors []int32
 }
 
 var _ NeighborSource = (*CSR)(nil)
@@ -62,7 +66,7 @@ func (g *CSR) N() int64 { return int64(len(g.Offsets)) - 1 }
 func (g *CSR) Degree(v int64) int64 { return g.Offsets[v+1] - g.Offsets[v] }
 
 // Neighbor implements NeighborSource.
-func (g *CSR) Neighbor(v, i int64) int64 { return g.Neighbors[g.Offsets[v]+i] }
+func (g *CSR) Neighbor(v, i int64) int64 { return int64(g.Neighbors[g.Offsets[v]+i]) }
 
 // SampleNeighbor implements NeighborSource: one Int63n(degree) draw per
 // sample, the same consumption as every other NeighborSource, so
@@ -73,15 +77,16 @@ func (g *CSR) SampleNeighbor(v int64, r *rng.Rand) int64 {
 	if lo == hi {
 		return v
 	}
-	return g.Neighbors[lo+r.Int63n(hi-lo)]
+	return int64(g.Neighbors[lo+r.Int63n(hi-lo)])
 }
 
 // Edges returns the number of undirected edges.
 func (g *CSR) Edges() int64 { return int64(len(g.Neighbors)) / 2 }
 
 // MaxBuilderN bounds builder vertex counts so edge endpoints pack into one
-// uint64 (and so a single graph cannot address more than 2^31 vertices —
-// far beyond the memory any materialized topology fits in anyway).
+// uint64 and every vertex id fits the int32 CSR.Neighbors (so a single
+// graph cannot address more than 2^31 vertices — far beyond the memory any
+// materialized topology fits in anyway).
 const MaxBuilderN = int64(1) << 31
 
 // Builder accumulates an undirected edge stream and finalizes it into a
@@ -132,13 +137,13 @@ func (b *Builder) Finalize() *CSR {
 	for v := int64(0); v < b.n; v++ {
 		offsets[v+1] += offsets[v]
 	}
-	neighbors := make([]int64, offsets[b.n])
+	neighbors := make([]int32, offsets[b.n])
 	cursor := make([]int64, b.n)
 	for _, e := range b.edges {
 		x, y := int64(e>>32), int64(uint32(e))
-		neighbors[offsets[x]+cursor[x]] = y
+		neighbors[offsets[x]+cursor[x]] = int32(y)
 		cursor[x]++
-		neighbors[offsets[y]+cursor[y]] = x
+		neighbors[offsets[y]+cursor[y]] = int32(x)
 		cursor[y]++
 	}
 	b.edges = nil
@@ -160,10 +165,14 @@ func sortRows(g *CSR) {
 
 // csrMagic versions the on-disk format: magic, name (uvarint length +
 // bytes), n and nnz (uvarint), then Offsets[1:] and Neighbors as
-// little-endian uint64s. Offsets[0] is always 0 and is not stored.
+// little-endian uint64s. Offsets[0] is always 0 and is not stored. The
+// file keeps 8 bytes per neighbor id whatever the in-RAM width: WriteTo
+// widens the int32 ids and ReadCSR range-checks each one before narrowing
+// it, so files and OpenCSR's mapped view of them do not depend on it.
 const csrMagic = "topoCSR1"
 
-// ioChunk is the staging-buffer size for (de)serializing the int64 arrays.
+// ioChunk is the staging-buffer size, in words, for (de)serializing the
+// arrays.
 const ioChunk = 8192
 
 // WriteTo implements io.WriterTo: the exact bytes are a pure function of
@@ -184,27 +193,37 @@ func (g *CSR) WriteTo(w io.Writer) (int64, error) {
 	if err := wr(hdr); err != nil {
 		return total, err
 	}
-	for _, arr := range [][]int64{g.Offsets[1:], g.Neighbors} {
-		buf := make([]byte, 0, 8*ioChunk)
-		for _, v := range arr {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			if len(buf) == cap(buf) {
-				if err := wr(buf); err != nil {
-					return total, err
-				}
-				buf = buf[:0]
+	buf := make([]byte, 0, 8*ioChunk)
+	if err := writeWords(wr, buf, g.Offsets[1:]); err != nil {
+		return total, err
+	}
+	err := writeWords(wr, buf, g.Neighbors)
+	return total, err
+}
+
+// writeWords writes arr through wr as little-endian uint64s, staging them
+// in buf.
+func writeWords[T int32 | int64](wr func([]byte) error, buf []byte, arr []T) error {
+	for _, v := range arr {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		if len(buf) == cap(buf) {
+			if err := wr(buf); err != nil {
+				return err
 			}
-		}
-		if err := wr(buf); err != nil {
-			return total, err
+			buf = buf[:0]
 		}
 	}
-	return total, nil
+	return wr(buf)
 }
 
 // ReadCSR deserializes a CSR written by WriteTo, validating the structural
 // invariants (nondecreasing offsets, in-range neighbors) so a truncated or
-// corrupted file is an error, never a later panic.
+// corrupted stream is an error, never a later panic. The header is never
+// trusted for an allocation: nnz above MaxAdjEntries (the in-RAM cap) is
+// rejected outright, and the arrays grow only as their words arrive, so a
+// short stream claiming a huge graph fails at EOF having allocated about
+// what it sent. Header varints must be minimally encoded; an accepted
+// stream's prefix is therefore exactly what WriteTo writes for the result.
 func ReadCSR(r io.Reader) (*CSR, error) {
 	br := &byteReader{r: r}
 	magic := make([]byte, len(csrMagic))
@@ -214,7 +233,7 @@ func ReadCSR(r io.Reader) (*CSR, error) {
 	if string(magic) != csrMagic {
 		return nil, fmt.Errorf("topo: bad magic %q", magic)
 	}
-	nameLen, err := binary.ReadUvarint(br)
+	nameLen, err := readUvarint(br)
 	if err != nil || nameLen > 1<<16 {
 		return nil, fmt.Errorf("topo: bad name length (%v)", err)
 	}
@@ -222,61 +241,104 @@ func ReadCSR(r io.Reader) (*CSR, error) {
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, fmt.Errorf("topo: reading name: %w", err)
 	}
-	n64, err := binary.ReadUvarint(br)
-	if err != nil || int64(n64) < 1 || int64(n64) >= MaxBuilderN {
+	n64, err := readUvarint(br)
+	if err != nil || n64 < 1 || n64 >= uint64(MaxBuilderN) {
 		return nil, fmt.Errorf("topo: bad vertex count (%v)", err)
 	}
-	nnz64, err := binary.ReadUvarint(br)
-	if err != nil || nnz64 > 1<<40 {
-		return nil, fmt.Errorf("topo: bad neighbor count (%v)", err)
+	nnz64, err := readUvarint(br)
+	if err != nil || nnz64 > uint64(MaxAdjEntries) {
+		return nil, fmt.Errorf("topo: bad neighbor count (%v); the in-RAM cap is %d", err, MaxAdjEntries)
 	}
 	n, nnz := int64(n64), int64(nnz64)
-	g := &CSR{
-		GraphName: string(name),
-		Offsets:   make([]int64, n+1),
-		Neighbors: make([]int64, nnz),
-	}
-	if err := readInt64s(br, g.Offsets[1:]); err != nil {
+	offsets := []int64{0}
+	err = readWords(br, n, func(chunk []byte) error {
+		offsets = growFor(offsets, len(chunk)/8, n+1)
+		for i := 0; i < len(chunk); i += 8 {
+			o, prev := binary.LittleEndian.Uint64(chunk[i:]), offsets[len(offsets)-1]
+			if o < uint64(prev) || o > nnz64 {
+				return fmt.Errorf("offsets not nondecreasing at vertex %d", len(offsets)-1)
+			}
+			offsets = append(offsets, int64(o))
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("topo: reading offsets: %w", err)
 	}
-	if err := readInt64s(br, g.Neighbors); err != nil {
+	if offsets[n] != nnz {
+		return nil, fmt.Errorf("topo: offsets end at %d, want %d", offsets[n], nnz)
+	}
+	neighbors := []int32{}
+	err = readWords(br, nnz, func(chunk []byte) error {
+		neighbors = growFor(neighbors, len(chunk)/8, nnz)
+		for i := 0; i < len(chunk); i += 8 {
+			u := binary.LittleEndian.Uint64(chunk[i:])
+			if u >= n64 {
+				return fmt.Errorf("neighbor %d out of range [0, %d)", int64(u), n)
+			}
+			neighbors = append(neighbors, int32(u))
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("topo: reading neighbors: %w", err)
 	}
-	for v := int64(0); v < n; v++ {
-		if g.Offsets[v+1] < g.Offsets[v] || g.Offsets[v+1] > nnz {
-			return nil, fmt.Errorf("topo: offsets not nondecreasing at vertex %d", v)
-		}
-	}
-	if g.Offsets[n] != nnz {
-		return nil, fmt.Errorf("topo: offsets end at %d, want %d", g.Offsets[n], nnz)
-	}
-	for _, u := range g.Neighbors {
-		if u < 0 || u >= n {
-			return nil, fmt.Errorf("topo: neighbor %d out of range [0, %d)", u, n)
-		}
-	}
-	return g, nil
+	return &CSR{GraphName: string(name), Offsets: offsets, Neighbors: neighbors}, nil
 }
 
-// readInt64s fills dst from little-endian uint64s in chunks.
-func readInt64s(r io.Reader, dst []int64) error {
-	buf := make([]byte, 8*ioChunk)
-	for len(dst) > 0 {
-		m := min(len(dst), ioChunk)
+// readWords reads count little-endian uint64s in chunks of at most ioChunk
+// words and hands each chunk's bytes to use.
+func readWords(r io.Reader, count int64, use func(chunk []byte) error) error {
+	buf := make([]byte, 8*min(count, ioChunk))
+	for count > 0 {
+		m := min(count, ioChunk)
 		if _, err := io.ReadFull(r, buf[:8*m]); err != nil {
 			return err
 		}
-		for i := 0; i < m; i++ {
-			dst[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
+		if err := use(buf[:8*m]); err != nil {
+			return err
 		}
-		dst = dst[m:]
+		count -= m
 	}
 	return nil
 }
 
+// growFor returns s with room for m more elements. Capacity at most
+// doubles per step and never exceeds want, so an array read from a stream
+// holds about as many elements as have arrived and ends exactly full.
+func growFor[T any](s []T, m int, want int64) []T {
+	if len(s)+m <= cap(s) {
+		return s
+	}
+	c := min(want, max(2*int64(cap(s)), int64(len(s)+m)))
+	grown := make([]T, len(s), c)
+	copy(grown, s)
+	return grown
+}
+
+// readUvarint is binary.ReadUvarint restricted to the minimal encoding
+// that WriteTo writes.
+func readUvarint(br *byteReader) (uint64, error) {
+	start := br.read
+	x, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, err
+	}
+	var enc [binary.MaxVarintLen64]byte
+	if br.read-start != binary.PutUvarint(enc[:], x) {
+		return 0, errors.New("non-minimal varint")
+	}
+	return x, nil
+}
+
 // byteReader adapts any reader for binary.ReadUvarint without buffering
 // past the varint (a bufio.Reader would swallow bytes the array reads need).
-type byteReader struct{ r io.Reader }
+// It counts the bytes ReadByte returns, so readUvarint can reject
+// non-minimal encodings.
+type byteReader struct {
+	r    io.Reader
+	read int
+}
 
 func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }
 
@@ -285,5 +347,6 @@ func (b *byteReader) ReadByte() (byte, error) {
 	if _, err := io.ReadFull(b.r, one[:]); err != nil {
 		return 0, err
 	}
+	b.read++
 	return one[0], nil
 }

@@ -2,6 +2,8 @@ package topo
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -26,19 +28,20 @@ func checkCSR(t *testing.T, g *CSR) int64 {
 		if !slices.IsSorted(row) {
 			t.Fatalf("row %d not sorted", v)
 		}
-		for i, u := range row {
+		for i, u32 := range row {
+			u := int64(u32)
 			if u < 0 || u >= n {
 				t.Fatalf("vertex %d: neighbor %d out of range", v, u)
 			}
 			if u == v {
 				t.Fatalf("vertex %d has a self-loop", v)
 			}
-			if i > 0 && row[i-1] == u {
+			if i > 0 && row[i-1] == u32 {
 				t.Fatalf("vertex %d has duplicate neighbor %d", v, u)
 			}
 			// Symmetry: v must appear in u's row.
 			urow := g.Neighbors[g.Offsets[u]:g.Offsets[u+1]]
-			if _, found := slices.BinarySearch(urow, v); !found {
+			if _, found := slices.BinarySearch(urow, int32(v)); !found {
 				t.Fatalf("edge {%d,%d} missing its mirror", v, u)
 			}
 		}
@@ -91,7 +94,7 @@ func TestBuilderBasic(t *testing.T) {
 			t.Errorf("degree(%d) = %d, want %d", v, got, want)
 		}
 	}
-	if got := g.Neighbors[g.Offsets[0]:g.Offsets[1]]; !slices.Equal(got, []int64{1, 2, 3}) {
+	if got := g.Neighbors[g.Offsets[0]:g.Offsets[1]]; !slices.Equal(got, []int32{1, 2, 3}) {
 		t.Errorf("row 0 = %v, want [1 2 3]", got)
 	}
 	if g.Edges() != 4 {
@@ -206,11 +209,86 @@ func TestReadCSRRejectsCorruption(t *testing.T) {
 	corrupt := slices.Clone(full)
 	corrupt[len(corrupt)-1] = 0x7f
 	cases["neighbor out of range"] = corrupt
+	// n = 20 spelled as a two-byte varint (0x94 0x00): WriteTo never
+	// writes it, so accepting it would break the byte round trip.
+	hdr := len(csrMagic) + 1 + len(g.GraphName)
+	cases["non-minimal varint"] = slices.Concat(full[:hdr], []byte{0x94, 0x00}, full[hdr+1:])
 	for name, data := range cases {
 		if _, err := ReadCSR(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: ReadCSR accepted corrupted input", name)
 		}
 	}
+}
+
+// csrHeader returns a topoCSR1 header with an empty name claiming n
+// vertices and nnz adjacency entries, and no array data.
+func csrHeader(n, nnz uint64) []byte {
+	h := []byte(csrMagic)
+	h = binary.AppendUvarint(h, 0)
+	h = binary.AppendUvarint(h, n)
+	return binary.AppendUvarint(h, nnz)
+}
+
+// TestReadCSRRejectsHostileHeader feeds ReadCSR short streams whose
+// headers claim huge arrays. Each must fail with an error having allocated
+// little: allocating from the header would take a terabyte for nnz = 2^40
+// and 16 GiB of offsets for n = 2^31-1, an unrecoverable out-of-memory
+// crash.
+func TestReadCSRRejectsHostileHeader(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"nnz=2^40":          csrHeader(4, 1<<40),
+		"nnz=cap+1":         csrHeader(4, uint64(MaxAdjEntries)+1),
+		"n=2^31-1":          csrHeader(1<<31-1, 0),
+		"n=2^31-1, nnz=cap": csrHeader(1<<31-1, uint64(MaxAdjEntries)),
+		// Valid offsets for one vertex of degree MaxAdjEntries, then no
+		// neighbor data.
+		"n=1, nnz=cap, short": binary.LittleEndian.AppendUint64(csrHeader(1, uint64(MaxAdjEntries)), uint64(MaxAdjEntries)),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadCSR(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: ReadCSR accepted a %d-byte stream", name, len(data))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: ReadCSR allocated %d bytes for a %d-byte stream", name, got, len(data))
+		}
+	}
+}
+
+// FuzzReadCSR: no input may panic ReadCSR, and an accepted input is
+// canonical — WriteTo of the result reproduces, byte for byte, the prefix
+// of the input that ReadCSR consumed.
+func FuzzReadCSR(f *testing.F) {
+	for _, g := range []*CSR{
+		RandomRegular("regular:4", 20, 4, rng.New(5)),
+		Barbell("barbell:3", 16, 3, rng.New(6)),
+		NewBuilder("empty", 3).Finalize(),
+	} {
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+	}
+	f.Add(csrHeader(4, 1<<40))
+	f.Add(csrHeader(1<<31-1, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		g, err := ReadCSR(r)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
+			t.Fatalf("WriteTo gave %d bytes, differing from the %d bytes ReadCSR accepted", buf.Len(), len(consumed))
+		}
+	})
 }
 
 // sortedCSR materializes src and sorts each row, so checkCSR and edge-set
@@ -236,9 +314,9 @@ func TestMaterializeCSRMatchesEdgeList(t *testing.T) {
 		t.Fatalf("n = %d, want %d", g.N(), impl.N())
 	}
 	for v := int64(0); v < impl.N(); v++ {
-		want := make([]int64, 0, 4)
+		want := make([]int32, 0, 4)
 		for i := int64(0); i < impl.Degree(v); i++ {
-			want = append(want, impl.Neighbor(v, i))
+			want = append(want, int32(impl.Neighbor(v, i)))
 		}
 		slices.Sort(want)
 		got := g.Neighbors[g.Offsets[v]:g.Offsets[v+1]]

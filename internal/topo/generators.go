@@ -17,7 +17,7 @@ import (
 // RandomRegular samples a random d-regular simple graph on n vertices with
 // the configuration (pairing) model followed by in-place degree-preserving
 // edge-swap repair, building the CSR directly (one int32 stub array + the
-// final neighbor array — no per-vertex slices, no edge map), so the
+// final int32 neighbor array — no per-vertex slices, no edge map), so the
 // construction scales to n·d well past 10⁸ adjacency entries. Requires
 // 1 <= d < n and n·d even.
 func RandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
@@ -40,23 +40,26 @@ func RandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 // budget ran out (essentially impossible except at adversarial d ≈ n).
 func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 	total := n * d
-	neighbors := make([]int64, total)
+	neighbors := make([]int32, total)
 	func() { // scope the stub arrays so they free before the repair sweep
 		// Stub multiset: vertex v appears d times; a random pairing of
 		// stubs is stubs[2i] — stubs[2i+1].
 		stubs := make([]int32, total)
-		for i := int64(0); i < total; i++ {
-			stubs[i] = int32(i / d)
+		for v := int64(0); v < n; v++ {
+			row := stubs[v*d : v*d+d]
+			for i := range row {
+				row[i] = int32(v)
+			}
 		}
-		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		rng.Shuffle(r, stubs)
 		// Scatter the pairing into fixed-stride CSR rows (every vertex
 		// has exactly d slots: row v is [v*d, v*d+d)).
 		cursor := make([]int32, n)
 		for i := int64(0); i < total; i += 2 {
-			a, b := int64(stubs[i]), int64(stubs[i+1])
-			neighbors[a*d+int64(cursor[a])] = b
+			a, b := stubs[i], stubs[i+1]
+			neighbors[int64(a)*d+int64(cursor[a])] = b
 			cursor[a]++
-			neighbors[b*d+int64(cursor[b])] = a
+			neighbors[int64(b)*d+int64(cursor[b])] = a
 			cursor[b]++
 		}
 	}()
@@ -66,8 +69,8 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 	// a new loop or duplicate anywhere (all four incident rows are
 	// checked), so one sweep converges.
 	budget := 200*d*d + 10_000
-	row := func(v int64) []int64 { return neighbors[v*d : v*d+d] }
-	isBad := func(v int64, slot int64) bool {
+	row := func(v int32) []int32 { return neighbors[int64(v)*d : int64(v)*d+d] }
+	isBad := func(v int32, slot int64) bool {
 		rv := row(v)
 		u := rv[slot]
 		if u == v {
@@ -80,7 +83,7 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 		}
 		return false
 	}
-	contains := func(v, u int64) bool {
+	contains := func(v, u int32) bool {
 		for _, x := range row(v) {
 			if x == u {
 				return true
@@ -88,7 +91,7 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 		}
 		return false
 	}
-	replaceOne := func(v, from, to int64) {
+	replaceOne := func(v, from, to int32) {
 		rv := row(v)
 		for j := range rv {
 			if rv[j] == from {
@@ -98,7 +101,7 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 		}
 		panic("topo: repair lost an edge mirror")
 	}
-	for v := int64(0); v < n; v++ {
+	for v := int32(0); int64(v) < n; v++ {
 		for slot := int64(0); slot < d; slot++ {
 			for isBad(v, slot) {
 				if budget <= 0 {
@@ -106,7 +109,7 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 				}
 				budget--
 				p := r.Int63n(total)
-				c := p / d
+				c := int32(p / d)
 				if c == v {
 					continue
 				}
@@ -166,7 +169,7 @@ func LegacyRandomRegular(n int64, d int, r *rng.Rand) *CSR {
 				idx++
 			}
 		}
-		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		rng.Shuffle(r, stubs)
 		edges := make([][2]int64, m)
 		count := make(map[[2]int64]int, m)
 		for i := int64(0); i < m; i++ {
@@ -228,13 +231,13 @@ func LegacyRandomRegular(n int64, d int, r *rng.Rand) *CSR {
 		for v := int64(0); v <= n; v++ {
 			offsets[v] = v * deg
 		}
-		neighbors := make([]int64, n*deg)
+		neighbors := make([]int32, n*deg)
 		cursor := make([]int64, n)
 		for _, e := range edges {
 			a, b := e[0], e[1]
-			neighbors[a*deg+cursor[a]] = b
+			neighbors[a*deg+cursor[a]] = int32(b)
 			cursor[a]++
-			neighbors[b*deg+cursor[b]] = a
+			neighbors[b*deg+cursor[b]] = int32(a)
 			cursor[b]++
 		}
 		return &CSR{GraphName: fmt.Sprintf("random-%d-regular", d), Offsets: offsets, Neighbors: neighbors}
@@ -494,20 +497,20 @@ func Barbell(name string, n, d int64, r *rng.Rand) *CSR {
 		}
 		offsets[v+1] = offsets[v] + deg
 	}
-	neighbors := make([]int64, offsets[n])
+	neighbors := make([]int32, offsets[n])
 	for v := int64(0); v < h; v++ {
 		dst := neighbors[offsets[v]:]
 		copy(dst, left.Neighbors[left.Offsets[v]:left.Offsets[v+1]])
 		if v == h-1 {
-			dst[d] = h // bridge
+			dst[d] = int32(h) // bridge
 		}
 		dst2 := neighbors[offsets[h+v]:]
 		src := right.Neighbors[right.Offsets[v]:right.Offsets[v+1]]
 		for i, u := range src {
-			dst2[i] = u + h
+			dst2[i] = u + int32(h)
 		}
 		if v == 0 {
-			dst2[d] = h - 1 // bridge
+			dst2[d] = int32(h - 1) // bridge
 		}
 	}
 	g := &CSR{GraphName: name, Offsets: offsets, Neighbors: neighbors}

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -39,6 +40,25 @@ func TestRandomRegularDeterministic(t *testing.T) {
 	c := RandomRegular("regular:6", 80, 6, rng.New(43))
 	if slices.Equal(a.Neighbors, c.Neighbors) {
 		t.Fatal("different seeds produced identical graphs")
+	}
+}
+
+// TestRandomRegularAllocBytes pins what one RandomRegular build allocates:
+// 4 B per adjacency entry for the int32 neighbor ids and 4 B per entry for
+// the int32 stub array, plus the int32 pairing cursor and the int64
+// offsets, with 64 KiB of slack. int64 neighbor ids would add another
+// 4 B per entry (3.2 MB here).
+func TestRandomRegularAllocBytes(t *testing.T) {
+	const n, d = 100_000, 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := RandomRegular("regular:8", n, d, rng.New(1))
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(g)
+	const nnz = n * d
+	const budget = 4*nnz + 4*nnz + 4*n + 8*(n+1) + 64<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("RandomRegular(n=%d, d=%d) allocated %d bytes, budget %d", n, d, got, budget)
 	}
 }
 
@@ -137,7 +157,7 @@ func TestSBMInvariantsAndCommunityStructure(t *testing.T) {
 	var within, cross float64
 	for v := int64(0); v < n; v++ {
 		for _, u := range g.Neighbors[g.Offsets[v]:g.Offsets[v+1]] {
-			if v/size == u/size {
+			if v/size == int64(u)/size {
 				within++
 			} else {
 				cross++
@@ -184,7 +204,7 @@ func TestBarbellInvariants(t *testing.T) {
 	crossing := 0
 	for v := int64(0); v < h; v++ {
 		for _, u := range g.Neighbors[g.Offsets[v]:g.Offsets[v+1]] {
-			if u >= h {
+			if int64(u) >= h {
 				crossing++
 			}
 		}
@@ -275,5 +295,14 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		if !slices.Equal(a.Offsets, b.Offsets) || !slices.Equal(a.Neighbors, b.Neighbors) {
 			t.Errorf("%s: not byte-deterministic", name)
 		}
+	}
+}
+
+// BenchmarkRandomRegular builds regular:8 at n = 10^6: stub fill, stub
+// shuffle, scatter into rows, repair and row sort.
+func BenchmarkRandomRegular(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		RandomRegular("regular:8", 1_000_000, 8, rng.New(uint64(i)+1))
 	}
 }

@@ -171,7 +171,9 @@ func OpenCSR(path string) (*MappedCSR, error) {
 }
 
 // parseCSRHeader decodes the v1 header from a prefix of the file, applying
-// the same bounds as ReadCSR, and returns the header's byte length.
+// ReadCSR's bounds except on nnz: a mapped graph lives in the page cache,
+// not the heap, so it may exceed MaxAdjEntries (up to 2^40 entries).
+// It returns the header's byte length.
 func parseCSRHeader(head []byte) (name string, n, nnz, headerLen int64, err error) {
 	if len(head) < len(csrMagic) || string(head[:len(csrMagic)]) != csrMagic {
 		return "", 0, 0, 0, fmt.Errorf("bad magic (not a %s file)", csrMagic)

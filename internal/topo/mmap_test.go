@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -115,7 +116,7 @@ func TestOpenCSRBoundaryNeighborIDs(t *testing.T) {
 	g := &CSR{
 		GraphName: "bound",
 		Offsets:   make([]int64, n+1),
-		Neighbors: []int64{n - 1, 0},
+		Neighbors: []int32{n - 1, 0},
 	}
 	// One edge between the extreme vertices 0 and n-1.
 	for v := int64(1); v <= n; v++ {
@@ -135,30 +136,28 @@ func TestOpenCSRBoundaryNeighborIDs(t *testing.T) {
 	}
 
 	// A stored id >= n must be rejected at open, for both "just past n"
-	// and "past int32" values (the latter catches 32-bit narrowing).
-	for _, bad := range []int64{n, int64(1) << 33} {
-		evil := &CSR{GraphName: "evil", Offsets: g.Offsets, Neighbors: []int64{bad, 0}}
+	// and "past int32" values (the latter catches 32-bit narrowing). The
+	// in-RAM CSR cannot hold either, so the file's first neighbor word is
+	// patched in place.
+	good, err := os.ReadFile(writeFile(t, dir, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []uint64{n, 1 << 33} {
+		evil := slices.Clone(good)
+		binary.LittleEndian.PutUint64(evil[len(evil)-16:], bad)
 		path := filepath.Join(dir, "evil.csr")
-		if err := writeRaw(path, evil); err != nil {
+		if err := os.WriteFile(path, evil, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		if _, err := ReadCSR(bytes.NewReader(evil)); err == nil {
+			t.Fatalf("ReadCSR accepted neighbor id %d with n=%d", bad, int64(n))
 		}
 		if m, err := OpenCSR(path); err == nil {
 			m.Close()
 			t.Fatalf("OpenCSR accepted neighbor id %d with n=%d", bad, int64(n))
 		}
 	}
-}
-
-// writeRaw serializes without WriteTo's own validation getting a chance to
-// veto (WriteTo does not validate, but keep the escape hatch explicit).
-func writeRaw(path string, g *CSR) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = g.WriteTo(f)
-	return err
 }
 
 // TestOpenCSRRejectsTruncation sweeps every prefix length of a valid file

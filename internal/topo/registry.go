@@ -22,7 +22,8 @@ import (
 
 // Resource caps enforced by Validate. They bound what one topology can pin
 // in memory: MaxAdjEntries bounds len(CSR.Neighbors) (2 edges per entry
-// pair, 8 bytes per entry — 2 GiB at the cap), MaxDegreeParam bounds the
+// pair, 4 bytes per int32 entry — 1 GiB at the cap; also the most
+// entries ReadCSR accepts), MaxDegreeParam bounds the
 // degree-like parameters (d, k, m) so repair loops stay near-linear, and
 // MaxBlocks bounds the SBM's O(blocks²) block-pair walk.
 const (

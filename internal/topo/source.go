@@ -36,9 +36,9 @@ type NeighborSource interface {
 }
 
 // Flat is the optional fast-path surface: sources whose adjacency lives in
-// flat int64 offset/neighbor arrays (the in-RAM CSR) expose them so the
-// engine's hot loop can index the slices directly instead of making two
-// interface calls per sample. The arrays must satisfy
+// a flat int64 offset array and a flat int32 neighbor array (the in-RAM
+// CSR) expose them so the engine's hot loop can index the slices directly
+// instead of making two interface calls per sample. The arrays must satisfy
 // the CSR invariants (offsets nondecreasing, len(offsets) == N()+1,
 // neighbors of v at offsets[v]:offsets[v+1]) and must not be mutated while
 // an engine is stepping.
@@ -46,11 +46,11 @@ type NeighborSource interface {
 // The flat path consumes the rng identically to SampleNeighbor, so whether
 // the engine takes it is invisible to seeded runs.
 type Flat interface {
-	FlatRows() (offsets, neighbors []int64)
+	FlatRows() (offsets []int64, neighbors []int32)
 }
 
 // FlatRows implements Flat: the CSR is its own flat representation.
-func (g *CSR) FlatRows() (offsets, neighbors []int64) { return g.Offsets, g.Neighbors }
+func (g *CSR) FlatRows() (offsets []int64, neighbors []int32) { return g.Offsets, g.Neighbors }
 
 // UniformDegree is the optional degree-class hint: a source whose vertices
 // all share one positive degree returns it, and the engine's bucketed hot
@@ -93,11 +93,11 @@ func MaterializeCSR(name string, src NeighborSource) (*CSR, error) {
 		}
 	}
 	offsets[n] = total
-	neighbors := make([]int64, total)
+	neighbors := make([]int32, total)
 	for v := int64(0); v < n; v++ {
 		row := neighbors[offsets[v]:offsets[v+1]]
 		for i := range row {
-			row[i] = src.Neighbor(v, int64(i))
+			row[i] = int32(src.Neighbor(v, int64(i)))
 		}
 	}
 	return &CSR{GraphName: name, Offsets: offsets, Neighbors: neighbors}, nil
