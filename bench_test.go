@@ -158,10 +158,10 @@ func BenchmarkEngineGraphRound(b *testing.B) {
 // legacy engine path topped out around 10⁵).
 func BenchmarkEngineGraphRoundSparse(b *testing.B) {
 	for _, n := range []int64{1_000_000, 10_000_000} {
-		g := topo.RandomRegular("regular:8", n, 8, rng.New(4)) // shared by both sampler variants
-		run := func(b *testing.B, opts engine.GraphOpts) {
-			e := engine.NewGraphEngineOpts(dynamics.ThreeMajority{}, g,
-				colorcfg.Biased(n, 8, n/100), 4, 17, rng.New(5), opts)
+		g := topo.RandomRegular("regular:8", n, 8, rng.New(4))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e := engine.NewGraphEngine(dynamics.ThreeMajority{}, g,
+				colorcfg.Biased(n, 8, n/100), 4, 17, rng.New(5))
 			defer e.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -171,12 +171,6 @@ func BenchmarkEngineGraphRoundSparse(b *testing.B) {
 			// ns/agent is the unit the CI perf budget is written in (the
 			// ROADMAP target is <= 50 ns/agent at n = 10⁷ on 4 workers).
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/agent")
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			run(b, engine.GraphOpts{})
-		})
-		b.Run(fmt.Sprintf("n=%d/sampler=batch", n), func(b *testing.B) {
-			run(b, engine.GraphOpts{Sampler: engine.SamplerBatch})
 		})
 	}
 }
@@ -190,8 +184,8 @@ func BenchmarkEngineGraphRoundSparse(b *testing.B) {
 func BenchmarkEngineGraphRoundSparseObserved(b *testing.B) {
 	const n = 10_000_000
 	g := topo.RandomRegular("regular:8", n, 8, rng.New(4))
-	e := engine.NewGraphEngineOpts(dynamics.ThreeMajority{}, g,
-		colorcfg.Biased(n, 8, n/100), 4, 17, rng.New(5), engine.GraphOpts{})
+	e := engine.NewGraphEngine(dynamics.ThreeMajority{}, g,
+		colorcfg.Biased(n, 8, n/100), 4, 17, rng.New(5))
 	defer e.Close()
 	rec := &obs.Recorder{}
 	rounds := func(m int) {

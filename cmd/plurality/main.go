@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,7 +39,6 @@ func main() {
 		graphName   = flag.String("graph", "complete", "topology for -engine graph (internal/topo registry spec): complete | cycle | star | torus[:DIMS] | hypercube | regular:D | gnp:P | smallworld:K:BETA | ba:M | sbm:B:PIN:POUT | barbell:D")
 		graphMode   = flag.String("graph-mode", "auto", "topology backend for -engine graph: auto | implicit (zero materialization) | csr (force in-RAM) | mmap (serve from -graph-file, building it first if absent)")
 		graphFile   = flag.String("graph-file", "", "CSR file for -graph-mode mmap (created atomically when missing)")
-		sampler     = flag.String("sampler", "default", "rng draw discipline for -engine graph: default (per-draw byte contract, golden-pinned) | batch (bulk block draws; faster, certified by its own golden)")
 		n           = flag.Int64("n", 100_000, "number of agents")
 		k           = flag.Int("k", 8, "number of colors")
 		biasFlag    = flag.String("bias", "auto", "initial additive bias (integer) or 'auto' for the Corollary 1 threshold")
@@ -52,14 +52,14 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*ruleName, *engName, *graphName, *graphMode, *graphFile, *sampler, *n, *k, *biasFlag, *seed,
+	if err := run(*ruleName, *engName, *graphName, *graphMode, *graphFile, *n, *k, *biasFlag, *seed,
 		*maxRounds, *advName, *workers, *printRounds, *traceFile, *mPlur); err != nil {
 		fmt.Fprintln(os.Stderr, "plurality:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ruleName, engName, graphName, graphMode, graphFile, samplerName string, n int64, k int,
+func run(ruleName, engName, graphName, graphMode, graphFile string, n int64, k int,
 	biasFlag string, seed uint64, maxRounds int, advName string, workers int,
 	printRounds bool, traceFile string, mPlur int64) error {
 
@@ -81,18 +81,26 @@ func run(ruleName, engName, graphName, graphMode, graphFile, samplerName string,
 	r := rng.New(seed)
 
 	// The undecided-state protocol and the keep-own rules are stateful and
-	// have dedicated engines.
+	// have dedicated engines; -engine and the graph flags cannot apply.
 	var eng engine.Engine
-	if ruleName == "undecided" {
-		eng = engine.NewUndecidedExact(init)
-	} else if ruleName == "2choices-keepown" {
-		eng = engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, init)
+	if ruleName == "undecided" || ruleName == "2choices-keepown" {
+		if engName != "auto" {
+			return fmt.Errorf("rule %q carries its own engine; drop -engine %s", ruleName, engName)
+		}
+		if err := graphFlagsUnused(graphName, graphMode, graphFile); err != nil {
+			return err
+		}
+		if ruleName == "undecided" {
+			eng = engine.NewUndecidedExact(init)
+		} else {
+			eng = engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, init)
+		}
 	} else {
 		rule, err := dynamics.ParseRule(ruleName)
 		if err != nil {
 			return err
 		}
-		eng, err = buildEngine(engName, graphName, graphMode, graphFile, samplerName, rule, init, workers, seed, r)
+		eng, err = buildEngine(engName, graphName, graphMode, graphFile, rule, init, workers, seed, r)
 		if err != nil {
 			return err
 		}
@@ -176,7 +184,16 @@ func parseBias(s string, n int64, k int) (int64, error) {
 	return v, nil
 }
 
-func buildEngine(engName, graphName, graphMode, graphFile, samplerName string, rule dynamics.Rule,
+// graphFlagsUnused rejects a non-default -graph, -graph-mode or -graph-file
+// on a run whose engine is not the graph engine, which would ignore them.
+func graphFlagsUnused(graphName, graphMode, graphFile string) error {
+	if graphName != "complete" || graphMode != "auto" || graphFile != "" {
+		return errors.New("-graph, -graph-mode and -graph-file apply only to -engine graph")
+	}
+	return nil
+}
+
+func buildEngine(engName, graphName, graphMode, graphFile string, rule dynamics.Rule,
 	init colorcfg.Config, workers int, seed uint64, r *rng.Rand) (engine.Engine, error) {
 	if engName == "auto" {
 		if _, ok := rule.(dynamics.ProbModel); ok {
@@ -185,12 +202,10 @@ func buildEngine(engName, graphName, graphMode, graphFile, samplerName string, r
 			engName = "sampled"
 		}
 	}
-	sampler, err := engine.ParseSampler(samplerName)
-	if err != nil {
-		return nil, err
-	}
-	if sampler == engine.SamplerBatch && engName != "graph" {
-		return nil, fmt.Errorf("-sampler batch applies only to -engine graph, not %q", engName)
+	if engName != "graph" {
+		if err := graphFlagsUnused(graphName, graphMode, graphFile); err != nil {
+			return nil, err
+		}
 	}
 	switch engName {
 	case "multinomial":
@@ -215,8 +230,7 @@ func buildEngine(engName, graphName, graphMode, graphFile, samplerName string, r
 		if err != nil {
 			return nil, err
 		}
-		return engine.NewGraphEngineOpts(rule, g, init, workers, seed^0xbeef, r,
-			engine.GraphOpts{Sampler: sampler}), nil
+		return engine.NewGraphEngine(rule, g, init, workers, seed^0xbeef, r), nil
 	}
 	return nil, fmt.Errorf("unknown engine %q", engName)
 }

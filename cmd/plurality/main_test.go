@@ -65,7 +65,7 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 		if spec == "hypercube" {
 			n = 128
 		}
-		e, err := buildEngine("graph", spec, "auto", "", "default", dynamics.ThreeMajority{},
+		e, err := buildEngine("graph", spec, "auto", "", dynamics.ThreeMajority{},
 			colorcfg.Biased(n, 3, 20), 1, 5, r)
 		if err != nil {
 			t.Errorf("buildEngine(graph, %q): %v", spec, err)
@@ -77,11 +77,11 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 		e.Close()
 	}
 	for _, bad := range []string{"nope", "regular:x", "gnp:y", "torus:0"} {
-		if _, err := buildEngine("graph", bad, "auto", "", "default", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
+		if _, err := buildEngine("graph", bad, "auto", "", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
 			t.Errorf("buildEngine(graph, %q) should fail", bad)
 		}
 	}
-	if _, err := buildEngine("graph", "torus", "auto", "", "default", dynamics.ThreeMajority{},
+	if _, err := buildEngine("graph", "torus", "auto", "", dynamics.ThreeMajority{},
 		colorcfg.Biased(101, 3, 20), 1, 5, r); err == nil {
 		t.Error("non-square torus accepted")
 	}
@@ -89,7 +89,7 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 	// Backend modes: implicit needs no file, mmap builds one and reuses it,
 	// and mmap without a path is rejected up front.
 	for _, mode := range []string{"implicit", "csr"} {
-		e, err := buildEngine("graph", "torus", mode, "", "default", dynamics.ThreeMajority{}, init, 1, 5, r)
+		e, err := buildEngine("graph", "torus", mode, "", dynamics.ThreeMajority{}, init, 1, 5, r)
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
@@ -97,35 +97,42 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "t.csr")
 	for i := 0; i < 2; i++ { // second pass exercises cache reuse
-		e, err := buildEngine("graph", "torus", "mmap", path, "default", dynamics.ThreeMajority{}, init, 1, 5, r)
+		e, err := buildEngine("graph", "torus", "mmap", path, dynamics.ThreeMajority{}, init, 1, 5, r)
 		if err != nil {
 			t.Fatalf("mmap pass %d: %v", i, err)
 		}
 		e.Close()
 	}
-	if _, err := buildEngine("graph", "torus", "mmap", "", "default", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
+	if _, err := buildEngine("graph", "torus", "mmap", "", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
 		t.Error("mmap without -graph-file accepted")
 	}
-	if _, err := buildEngine("graph", "torus", "nope", "", "default", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
+	if _, err := buildEngine("graph", "torus", "nope", "", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
 		t.Error("unknown graph mode accepted")
 	}
 
-	// The batch sampler is a graph-engine notion: accepted there (and
-	// stamped into the engine name), rejected for the clique engines and
-	// for unknown sampler strings.
-	e, err := buildEngine("graph", "torus", "auto", "", "batch", dynamics.ThreeMajority{}, init, 1, 5, r)
-	if err != nil {
-		t.Fatalf("batch sampler on graph engine: %v", err)
-	}
-	if name := e.Name(); !strings.Contains(name, "batch") {
-		t.Errorf("batch engine name %q does not advertise the sampler", name)
-	}
-	e.Close()
-	if _, err := buildEngine("sampled", "complete", "auto", "", "batch", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
-		t.Error("batch sampler accepted on a non-graph engine")
-	}
-	if _, err := buildEngine("graph", "torus", "auto", "", "turbo", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
-		t.Error("unknown sampler accepted")
+}
+
+// TestRejectsIgnoredFlags: a flag the resolved engine cannot honour is an
+// error, not a silent fallback to another engine.
+func TestRejectsIgnoredFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name, rule, eng, graph, mode, file string
+		want                               string
+	}{
+		{"graph flags on clique engine", "3majority", "auto", "regular:8", "mmap", "", "apply only to -engine graph"},
+		{"graph on sampled engine", "3majority", "sampled", "torus", "auto", "", "apply only to -engine graph"},
+		{"graph file on multinomial", "3majority", "multinomial", "complete", "auto", "g.csr", "apply only to -engine graph"},
+		{"graph on undecided", "undecided", "auto", "torus", "auto", "", "apply only to -engine graph"},
+		{"engine on undecided", "undecided", "graph", "torus", "auto", "", "carries its own engine"},
+		{"engine on keep-own", "2choices-keepown", "sampled", "complete", "auto", "", "carries its own engine"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(tc.rule, tc.eng, tc.graph, tc.mode, tc.file, 1000, 3, "auto", 1, 10,
+				"none", 1, false, "", -1)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -154,28 +161,28 @@ func TestParseAdversary(t *testing.T) {
 
 func TestRunEndToEnd(t *testing.T) {
 	// Small end-to-end run through the CLI plumbing (no flags).
-	err := run("3majority", "auto", "complete", "auto", "", "default", 2000, 3, "auto", 1, 10000,
+	err := run("3majority", "auto", "complete", "auto", "", 2000, 3, "auto", 1, 10000,
 		"none", 2, false, "", -1)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	// Undecided path.
-	err = run("undecided", "auto", "complete", "auto", "", "default", 2000, 3, "500", 1, 10000,
+	err = run("undecided", "auto", "complete", "auto", "", 2000, 3, "500", 1, 10000,
 		"none", 2, false, "", -1)
 	if err != nil {
 		t.Fatalf("run undecided: %v", err)
 	}
 	// Keep-own path with adversary and M-plurality stop.
-	err = run("2choices-keepown", "auto", "complete", "auto", "", "default", 2000, 3, "auto", 1, 10000,
+	err = run("2choices-keepown", "auto", "complete", "auto", "", 2000, 3, "auto", 1, 10000,
 		"strongest:2", 2, true, "", 50)
 	if err != nil {
 		t.Fatalf("run keep-own: %v", err)
 	}
 	// Error paths.
-	if err := run("nope", "auto", "complete", "auto", "", "default", 100, 2, "auto", 1, 10, "none", 1, false, "", -1); err == nil {
+	if err := run("nope", "auto", "complete", "auto", "", 100, 2, "auto", 1, 10, "none", 1, false, "", -1); err == nil {
 		t.Error("bad rule accepted")
 	}
-	if err := run("3majority", "nope", "complete", "auto", "", "default", 100, 2, "auto", 1, 10, "none", 1, false, "", -1); err == nil {
+	if err := run("3majority", "nope", "complete", "auto", "", 100, 2, "auto", 1, 10, "none", 1, false, "", -1); err == nil {
 		t.Error("bad engine accepted")
 	}
 }
@@ -197,7 +204,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"negative bias", 1000, 4, "-1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run("3majority", "auto", "complete", "auto", "", "default", tc.n, tc.k, tc.bias, 1, 10,
+			err := run("3majority", "auto", "complete", "auto", "", tc.n, tc.k, tc.bias, 1, 10,
 				"none", 1, false, "", -1)
 			if err == nil {
 				t.Fatalf("n=%d k=%d bias=%s accepted", tc.n, tc.k, tc.bias)
@@ -206,7 +213,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	// The edges of the valid range still run.
 	for _, bias := range []string{"0", "1000"} {
-		if err := run("3majority", "auto", "complete", "auto", "", "default", 1000, 4, bias, 1, 10,
+		if err := run("3majority", "auto", "complete", "auto", "", 1000, 4, bias, 1, 10,
 			"none", 1, false, "", -1); err != nil {
 			t.Errorf("bias %s: %v", bias, err)
 		}
@@ -218,7 +225,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 // tolerant reader consumes without skips.
 func TestRunTraceFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	err := run("3majority", "auto", "complete", "auto", "", "default", 2000, 3, "auto", 1, 10000,
+	err := run("3majority", "auto", "complete", "auto", "", 2000, 3, "auto", 1, 10000,
 		"none", 2, false, path, -1)
 	if err != nil {
 		t.Fatalf("run with -trace: %v", err)

@@ -58,7 +58,6 @@ type config struct {
 	graphs    string
 	graphMode string
 	graphDir  string
-	sampler   string
 	ns        string
 	ks        string
 	cs        string
@@ -79,7 +78,6 @@ func main() {
 		"comma-separated topology specs ("+strings.Join(topo.FamilyUsages(), " | ")+")")
 	flag.StringVar(&cfg.graphMode, "graph-mode", "auto", "topology backend: auto | implicit | csr | mmap (mmap caches built graphs under -graph-dir, keyed by spec, n, and graph seed)")
 	flag.StringVar(&cfg.graphDir, "graph-dir", "", "directory for -graph-mode mmap CSR files (required there)")
-	flag.StringVar(&cfg.sampler, "sampler", "default", "graph-engine rng draw discipline: default (per-draw byte contract) | batch (bulk block draws; faster, not draw-compatible with default)")
 	flag.StringVar(&cfg.ns, "ns", "100000", "comma-separated population sizes")
 	flag.StringVar(&cfg.ks, "ks", "2,8,32", "comma-separated color counts")
 	flag.StringVar(&cfg.cs, "cs", "1", "comma-separated bias multipliers applied to the Cor-1 threshold")
@@ -114,9 +112,6 @@ func run(ctx context.Context, cfg config) error {
 		return err
 	} else if mode == topo.ModeMmap && cfg.graphDir == "" {
 		return errors.New("-graph-mode mmap requires -graph-dir")
-	}
-	if _, err := engine.ParseSampler(cfg.sampler); err != nil {
-		return err
 	}
 	if cfg.traceDir != "" {
 		if err := os.MkdirAll(cfg.traceDir, 0o755); err != nil {
@@ -222,27 +217,13 @@ func sweep(ctx context.Context, cfg config, w io.Writer, done map[string]map[int
 		}
 		graphs = append(graphs, canon)
 	}
-	sampler, err := engine.ParseSampler(cfg.sampler)
-	if err != nil {
-		return err
-	}
-	if sampler == engine.SamplerBatch {
-		// The clique cells run the dedicated clique engines, which have no
-		// sampler notion; refuse rather than silently run them on the
-		// default discipline under a -sampler batch grid.
-		for _, g := range graphs {
-			if g == "complete" {
-				return errors.New(`-sampler batch applies only to graph-engine cells; drop "complete" from -graphs`)
-			}
-		}
-	}
 	cells := make([]string, 0, len(rules)*len(graphs)*len(nVals)*len(kVals)*len(cVals))
 	for _, rule := range rules {
 		for _, g := range graphs {
 			for _, n := range nVals {
 				for _, k := range kVals {
 					for _, c := range cVals {
-						cells = append(cells, cellName(rule.Name(), g, n, int(k), c, sampler))
+						cells = append(cells, cellName(rule.Name(), g, n, int(k), c))
 					}
 				}
 			}
@@ -331,8 +312,7 @@ func checkResumeJobs(done map[string]map[int]mc.Record, cells []string, reps int
 func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 	done map[string]map[int]mc.Record, rule dynamics.Rule, gname string, n int64, k int, c float64) error {
 	s := core.Corollary1Bias(n, k, c)
-	sampler, _ := engine.ParseSampler(cfg.sampler) // validated in sweep
-	name := cellName(rule.Name(), gname, n, k, c, sampler)
+	name := cellName(rule.Name(), gname, n, k, c)
 	_, isProb := rule.(dynamics.ProbModel)
 	onClique := gname == "complete"
 	var built topo.NeighborSource // set once sharedGraph runs
@@ -388,8 +368,7 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 				// agent-level engine single-worker per replicate.
 				e = engine.NewCliqueSampled(rule, init, 1, r.Uint64())
 			default:
-				e = engine.NewGraphEngineOpts(rule, sharedGraph(), init, 1, r.Uint64(), r,
-					engine.GraphOpts{Sampler: sampler})
+				e = engine.NewGraphEngine(rule, sharedGraph(), init, 1, r.Uint64(), r)
 			}
 			defer e.Close()
 			opts := core.Options{MaxRounds: maxRounds, Rand: r}
@@ -490,15 +469,9 @@ func traceFileName(cell string) string {
 }
 
 // cellName is the stable grid-cell identifier used in JSONL records and
-// resume files. The batch sampler changes every replicate's rng stream, so
-// it is part of the identity; the default is omitted so that grids written
-// before the sampler existed still resume.
-func cellName(rule, gname string, n int64, k int, c float64, sampler engine.Sampler) string {
-	name := fmt.Sprintf("%s/g=%s/n=%d/k=%d/c=%g", rule, gname, n, k, c)
-	if sampler == engine.SamplerBatch {
-		name += "/sampler=batch"
-	}
-	return name
+// resume files.
+func cellName(rule, gname string, n int64, k int, c float64) string {
+	return fmt.Sprintf("%s/g=%s/n=%d/k=%d/c=%g", rule, gname, n, k, c)
 }
 
 // cellSeed derives the cell's job seed from the base seed and the cell

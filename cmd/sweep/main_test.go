@@ -121,34 +121,35 @@ func TestSweepGraphGrid(t *testing.T) {
 	}
 }
 
-// TestSweepBatchSampler pins the -sampler batch semantics: graph-only
-// grids run (deterministically, with the sampler stamped into the cell
-// name), clique cells are refused, and unknown samplers fail fast.
+// TestSweepBatchSampler pins the retirement of the sampler=batch mode: a
+// resume file written by a -sampler batch grid names its cells with a
+// "/sampler=batch" suffix, which no grid produces any more, so resuming it
+// fails with "not in this grid" instead of appending default-sampler
+// records to a batch-sampler file.
 func TestSweepBatchSampler(t *testing.T) {
 	cfg := testCfg()
 	cfg.rules = "2choices"
 	cfg.graphs = "regular:4"
 	cfg.ks = "2"
 	cfg.reps = 3
-	cfg.sampler = "batch"
 	cfg.format = "jsonl"
 	out := runSweep(t, cfg, nil)
-	if !strings.Contains(out, "/sampler=batch") {
-		t.Errorf("batch cell records lack the sampler suffix:\n%s", out)
+	if strings.Contains(out, "sampler=") {
+		t.Fatalf("cell names still carry a sampler suffix:\n%s", out)
 	}
-	if runSweep(t, cfg, nil) != out {
-		t.Fatal("batch grid is not deterministic across reruns")
+	lines := strings.SplitAfter(out, "\n")
+	batch := strings.ReplaceAll(strings.Join(lines[:2], ""), "/c=1\"", "/c=1/sampler=batch\"")
+	if !strings.Contains(batch, "/sampler=batch") {
+		t.Fatalf("fixture lacks the batch suffix:\n%s", batch)
 	}
-	cfg.graphs = "complete,regular:4"
-	if err := sweep(context.Background(), cfg, io.Discard, nil); err == nil ||
-		!strings.Contains(err.Error(), "graph-engine cells") {
-		t.Fatalf("batch + complete error = %v, want graph-engine cells", err)
+	cfg.out = filepath.Join(t.TempDir(), "batch.jsonl")
+	if err := os.WriteFile(cfg.out, []byte(batch), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	cfg.graphs = "regular:4"
-	cfg.sampler = "turbo"
-	if err := sweep(context.Background(), cfg, io.Discard, nil); err == nil ||
-		!strings.Contains(err.Error(), "unknown sampler") {
-		t.Fatalf("unknown sampler error = %v, want unknown sampler", err)
+	cfg.resume = true
+	if err := run(context.Background(), cfg); err == nil ||
+		!strings.Contains(err.Error(), "not in this grid") {
+		t.Fatalf("resume of a batch-sampler file = %v, want not in this grid", err)
 	}
 }
 

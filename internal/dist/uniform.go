@@ -6,75 +6,60 @@ import (
 	"plurality/internal/rng"
 )
 
-// Batched uniform-index kernels for the graph engine's sparse hot path.
-// Filling a whole block of neighbor indices in one tight loop (instead of
-// one rng call interleaved per sample) lets the loop body stay in registers
-// and lets the engine's subsequent color gathers pipeline their cache
-// misses. Two disciplines are offered:
-//
-//   - FillUniform — exact: byte-identical to sequential r.Int63n(n) calls,
-//     so batching is invisible to seeded runs (this is what keeps the
-//     committed golden traces unchanged on the default sampler).
-//   - FillUniformRelaxed — the sampler=batch discipline: exactly one raw
-//     Uint64 per slot, mapped by 128-bit multiply-shift with no rejection.
-//
-// Both are deterministic and allocation-free.
+// uniformBlock is how many raw Uint64s FillUniform draws per
+// rng.Uint64Block call.
+const uniformBlock = 256
 
 // FillUniform fills dst with independent uniform draws from [0, n),
 // consuming the rng exactly as len(dst) sequential r.Int63n(n) calls would —
 // the output values and the generator's end state are byte-identical for
-// any seed. Powers of two take a branch-free shift path (Lemire's rejection
-// region is empty there, so the shift is exactly Int63n). Panics if n <= 0.
+// any seed, which is what lets the graph engine's batched sparse loops use
+// it without perturbing a golden trace. It is allocation-free.
+//
+// The raws come in blocks of at most uniformBlock from rng.Uint64Block,
+// which keeps the generator state in registers across the block. A block
+// never holds more raws than slots still to fill: every raw Int63n would
+// draw for those slots is consumed in order, accepted or rejected, so no
+// raw is drawn that the sequential calls would not have drawn. Powers of
+// two take a branch-free shift path (Lemire's rejection region is empty
+// there, so the shift is exactly Int63n). Panics if n <= 0.
 func FillUniform(r *rng.Rand, n int64, dst []int64) {
 	if n <= 0 {
 		panic("dist: FillUniform called with n <= 0")
 	}
 	un := uint64(n)
+	var raw [uniformBlock]uint64
 	if un&(un-1) == 0 {
 		// n = 2^k: Int63n reduces to taking the top k bits (the rejection
 		// threshold -n % n is zero, so the redraw loop can never run).
 		// n = 1 has shift 64, which Go defines to yield 0 — one draw, index
 		// 0, exactly like Int63n(1).
 		shift := uint(bits.LeadingZeros64(un)) + 1
-		for i := range dst {
-			dst[i] = int64(r.Uint64() >> shift)
+		for len(dst) > 0 {
+			m := min(len(dst), uniformBlock)
+			r.Uint64Block(raw[:m])
+			for i, x := range raw[:m] {
+				dst[i] = int64(x >> shift)
+			}
+			dst = dst[m:]
 		}
 		return
 	}
 	// General n: Lemire multiply-shift with rejection, the exact loop from
 	// rng.Uint64n with the threshold hoisted (thresh < n, so the single
 	// `lo < thresh` test subsumes Uint64n's `lo < n` pre-test without
-	// changing which draws are rejected).
+	// changing which draws are rejected). A rejected raw fills no slot, so
+	// the next block is sized to the slots still empty.
 	thresh := -un % un
-	for i := range dst {
-		hi, lo := bits.Mul64(r.Uint64(), un)
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), un)
-		}
-		dst[i] = int64(hi)
-	}
-}
-
-// FillUniformRelaxed fills dst with near-uniform draws from [0, n) under
-// the sampler=batch rng discipline: exactly one raw Uint64 per slot (drawn
-// in bulk via Uint64Block), mapped to an index by the high word of the
-// 128-bit product x·n with no rejection step. The map is monotone and its
-// bias is at most n·2⁻⁶⁴ per index — immaterial for degrees, but the output
-// is NOT byte-identical to Int63n, which is why the relaxed discipline is
-// opt-in and certified by its own golden trace. Panics if n <= 0.
-func FillUniformRelaxed(r *rng.Rand, n int64, dst []int64) {
-	if n <= 0 {
-		panic("dist: FillUniformRelaxed called with n <= 0")
-	}
-	un := uint64(n)
-	var raw [256]uint64
-	for len(dst) > 0 {
-		m := min(len(dst), len(raw))
+	for p := 0; p < len(dst); {
+		m := min(len(dst)-p, uniformBlock)
 		r.Uint64Block(raw[:m])
-		for i, x := range raw[:m] {
-			hi, _ := bits.Mul64(x, un)
-			dst[i] = int64(hi)
+		for _, x := range raw[:m] {
+			hi, lo := bits.Mul64(x, un)
+			if lo >= thresh {
+				dst[p] = int64(hi)
+				p++
+			}
 		}
-		dst = dst[m:]
 	}
 }

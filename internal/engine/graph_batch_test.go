@@ -11,7 +11,7 @@ import (
 )
 
 // TestGraphBatchMatchesSerialBytes pins the tentpole's safety claim: for a
-// rand-free rule under the default sampler, the batched two-pass loops
+// rand-free rule, the batched two-pass loops
 // consume the rng exactly like the legacy per-vertex loops, so the same
 // (structure, seed, workers) triple yields byte-identical runs whichever
 // plan executes. The serial engine is forced in-package by clearing
@@ -70,46 +70,6 @@ func TestGraphBatchMatchesSerialBytes(t *testing.T) {
 				serial.Close()
 			}
 		})
-	}
-}
-
-// TestGraphBatchSamplerDeterministic pins the relaxed discipline's own
-// guarantees: a sampler=batch run is reproducible for a fixed (seed,
-// workers) pair, advertises itself in the engine name, and actually
-// diverges from the default discipline (if the two streams coincided the
-// mode would be pointless and its golden would not certify anything).
-func TestGraphBatchSamplerDeterministic(t *testing.T) {
-	const n = 900
-	csr := topo.RandomRegular("regular:6", n, 6, rng.New(31))
-	init := colorcfg.Biased(n, 4, n/8)
-	rule := dynamics.ThreeMajority{UniformTie: true} // consumes rng in Apply
-	mk := func(s Sampler) *GraphEngine {
-		return NewGraphEngineOpts(rule, csr, init, 2, 77, rng.New(5), GraphOpts{Sampler: s})
-	}
-	a, b, def := mk(SamplerBatch), mk(SamplerBatch), mk(SamplerDefault)
-	defer a.Close()
-	defer b.Close()
-	defer def.Close()
-	if a.Name() == def.Name() {
-		t.Errorf("batch engine name %q does not distinguish the sampler", a.Name())
-	}
-	diverged := false
-	for round := 0; round < 12; round++ {
-		a.Step(nil)
-		b.Step(nil)
-		def.Step(nil)
-		if !slices.Equal(a.Colors(), b.Colors()) {
-			t.Fatalf("round %d: identical batch runs diverged", round)
-		}
-		if err := a.Config().Validate(n); err != nil {
-			t.Fatalf("round %d: conservation violated: %v", round, err)
-		}
-		if !slices.Equal(a.Colors(), def.Colors()) {
-			diverged = true
-		}
-	}
-	if !diverged {
-		t.Error("batch sampler never diverged from the default discipline")
 	}
 }
 

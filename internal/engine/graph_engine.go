@@ -45,9 +45,9 @@ import (
 // graphLoop: batched two-pass loops whenever the rule is rand-free (the
 // rng stream is provably unchanged by the reordering, so all goldens stay
 // byte-identical), degree-bucketed flat loops when every vertex shares one
-// degree, and the legacy per-vertex loops otherwise. The opt-in
-// sampler=batch mode (GraphOpts.Sampler) trades the per-draw byte contract
-// for bulk Uint64-block generation — see Sampler.
+// degree, and the legacy per-vertex loops otherwise. Every plan draws the
+// same rng stream as the legacy loops, so the plan is never part of a
+// run's identity.
 type GraphEngine struct {
 	rule    dynamics.Rule
 	src     topo.NeighborSource
@@ -59,53 +59,10 @@ type GraphEngine struct {
 	pool    *workerPool
 }
 
-// Sampler selects the rng draw discipline of the graph engine's sampling
-// loops.
-type Sampler int
-
-const (
-	// SamplerDefault preserves the NeighborSource byte contract pinned by
-	// the golden traces: every sample costs exactly one Int63n(degree) draw
-	// (none for an isolated vertex), in per-vertex order interleaved with
-	// any rng the rule consumes. The engine still batches draws under this
-	// contract when the rule is rand-free — the reordering is then
-	// invisible to the stream.
-	SamplerDefault Sampler = iota
-	// SamplerBatch is the opt-in relaxed discipline: every sample costs
-	// exactly one raw Uint64 (generated in blocks), mapped to a neighbor
-	// index by 128-bit multiply-shift with no rejection step (bias at most
-	// degree·2⁻⁶⁴), and a block of draws completes before the block's rule
-	// applications consume any rng. Runs remain fully deterministic for a
-	// fixed (seed, workers) pair — the mode has its own golden trace — but
-	// are not comparable draw-for-draw with the default discipline.
-	SamplerBatch
-)
-
-// String implements fmt.Stringer ("default" / "batch").
-func (s Sampler) String() string {
-	if s == SamplerBatch {
-		return "batch"
-	}
-	return "default"
-}
-
-// ParseSampler parses a user-facing sampler name; "" means default.
-func ParseSampler(s string) (Sampler, error) {
-	switch s {
-	case "", "default":
-		return SamplerDefault, nil
-	case "batch":
-		return SamplerBatch, nil
-	}
-	return 0, fmt.Errorf("unknown sampler %q (want default or batch)", s)
-}
-
-// GraphOpts carries the optional knobs of NewGraphEngineOpts.
-type GraphOpts struct {
-	// Sampler selects the rng draw discipline; zero value is
-	// SamplerDefault.
-	Sampler Sampler
-}
+// GraphOpts is empty. It and NewGraphEngineOpts remain only because
+// perfbench/sparse.go still calls NewGraphEngineOpts; delete both once it
+// calls NewGraphEngine.
+type GraphOpts struct{}
 
 // graphBuffers holds the double-buffered vertex color arrays. They live in
 // a separate allocation so pool goroutines can reference them (the buffers
@@ -127,10 +84,8 @@ type graphBuffers struct {
 //	                          random color reads pipeline instead of
 //	                          serializing behind the rule
 //	offsets != nil          → legacy per-vertex flat loop (rng-consuming
-//	                          rules under the default byte contract)
+//	                          rules, whose draws interleave with the samples)
 //	batch                   → generic two-pass loop over SampleNeighbor
-//	                          (relaxed mode: Degree+Neighbor with
-//	                          multiply-shift draws)
 //	otherwise               → legacy per-vertex generic loop
 type graphLoop struct {
 	src  topo.NeighborSource
@@ -148,13 +103,10 @@ type graphLoop struct {
 	// scan); the flat batched loop then hoists the degree load, the
 	// zero-degree branch, and the rejection threshold out of the rng loop.
 	unifDeg int64
-	// batch selects the two-pass (draw block, then gather+apply) loops:
-	// always in relaxed mode, and under the default contract exactly when
-	// the rule is rand-free (dynamics.IsRandFree), which makes the
-	// reordering byte-invisible.
+	// batch selects the two-pass (draw block, then gather+apply) loops,
+	// exactly when the rule is rand-free (dynamics.IsRandFree), which
+	// makes the reordering byte-invisible.
 	batch bool
-	// relaxed is the sampler=batch draw discipline (see SamplerBatch).
-	relaxed bool
 	// fast3 replaces rule.Apply in the batched loops with the inlined
 	// first-sample 3-majority ("if s1 == s2 adopt s1, else adopt s0" — a
 	// conditional move, no data-dependent branch). Set only for
@@ -172,17 +124,17 @@ type graphWorker struct {
 	idx   []int64 // batched paths: per-block neighbor vertex ids
 }
 
-// NewGraphEngine builds the engine over any topo.NeighborSource with the
-// default sampler. The initial configuration is laid out over the vertices in color
-// blocks and then shuffled with layoutRng so that topology experiments are
-// not biased by block placement (on the clique the layout is irrelevant).
-// workers <= 1 runs single-threaded.
-func NewGraphEngine(rule dynamics.Rule, src topo.NeighborSource, initial colorcfg.Config, workers int, seed uint64, layoutRng *rng.Rand) *GraphEngine {
-	return NewGraphEngineOpts(rule, src, initial, workers, seed, layoutRng, GraphOpts{})
+// NewGraphEngineOpts is NewGraphEngine; GraphOpts carries nothing.
+func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial colorcfg.Config, workers int, seed uint64, layoutRng *rng.Rand, _ GraphOpts) *GraphEngine {
+	return NewGraphEngine(rule, src, initial, workers, seed, layoutRng)
 }
 
-// NewGraphEngineOpts is NewGraphEngine with explicit options.
-func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial colorcfg.Config, workers int, seed uint64, layoutRng *rng.Rand, opts GraphOpts) *GraphEngine {
+// NewGraphEngine builds the engine over any topo.NeighborSource. The
+// initial configuration is laid out over the vertices in color blocks and
+// then shuffled with layoutRng so that topology experiments are not biased
+// by block placement (on the clique the layout is irrelevant).
+// workers <= 1 runs single-threaded.
+func NewGraphEngine(rule dynamics.Rule, src topo.NeighborSource, initial colorcfg.Config, workers int, seed uint64, layoutRng *rng.Rand) *GraphEngine {
 	n := src.N()
 	if initial.N() != n {
 		panic(fmt.Sprintf("engine: configuration has %d agents but graph has %d vertices", initial.N(), n))
@@ -221,8 +173,7 @@ func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial col
 		} else if lp.offsets != nil {
 			lp.unifDeg = uniformFlatDegree(lp.offsets)
 		}
-		lp.relaxed = opts.Sampler == SamplerBatch
-		lp.batch = lp.relaxed || dynamics.IsRandFree(rule)
+		lp.batch = dynamics.IsRandFree(rule)
 		if tm, ok := rule.(dynamics.ThreeMajority); ok && !tm.UniformTie {
 			lp.fast3 = true
 		}
@@ -292,9 +243,6 @@ func (e *GraphEngine) Close() {
 
 // Name implements Engine.
 func (e *GraphEngine) Name() string {
-	if e.loop.relaxed {
-		return fmt.Sprintf("graph[%s,%s,w=%d,batch]", e.src.Name(), e.rule.Name(), len(e.workers))
-	}
 	return fmt.Sprintf("graph[%s,%s,w=%d]", e.src.Name(), e.rule.Name(), len(e.workers))
 }
 
@@ -401,11 +349,7 @@ func (w *graphWorker) runFlatBatch(lp *graphLoop) {
 			// Bucketed pass 1: one FillUniform kernel call for the whole
 			// block, then a branch-free sweep resolving draws to vertex ids
 			// (row reads are near-sequential as v ascends).
-			if lp.relaxed {
-				dist.FillUniformRelaxed(w.r, d, idx)
-			} else {
-				dist.FillUniform(w.r, d, idx)
-			}
+			dist.FillUniform(w.r, d, idx)
 			// Uniform degree means offsets is an arithmetic sequence, so
 			// the resolve sweep steps lo by d instead of streaming the
 			// offsets array.
@@ -417,8 +361,6 @@ func (w *graphWorker) runFlatBatch(lp *graphLoop) {
 					p++
 				}
 			}
-		} else if lp.relaxed {
-			w.fillFlatRelaxed(lp, idx, v0, m)
 		} else {
 			w.fillFlatExact(lp, idx, v0, m)
 		}
@@ -468,38 +410,11 @@ func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 	}
 }
 
-// fillFlatRelaxed is fillFlatExact under the sampler=batch discipline:
-// exactly one raw Uint64 per sample, multiply-shift, no rejection.
-func (w *graphWorker) fillFlatRelaxed(lp *graphLoop, idx []int64, v0, m int64) {
-	h := lp.h
-	offsets, neighbors := lp.offsets, lp.neighbors
-	r := w.r
-	p := 0
-	for v := v0; v < v0+m; v++ {
-		lo := offsets[v]
-		d := uint64(offsets[v+1] - lo)
-		if d == 0 {
-			for s := 0; s < h; s++ {
-				idx[p] = v
-				p++
-			}
-			continue
-		}
-		for s := 0; s < h; s++ {
-			hi, _ := bits.Mul64(r.Uint64(), d)
-			idx[p] = int64(neighbors[lo+int64(hi)])
-			p++
-		}
-	}
-}
-
 // runGenericBatch is the two-pass loop for non-flat sources (implicit
 // families, mmap CSRs, opaque graphs): pass 1 fills the index buffer with
 // sampled neighbor ids through the interface, pass 2 gathers colors and
-// applies the rule. Under the default contract the draws go through
-// SampleNeighbor (byte-identical to the serial loop); in relaxed mode they
-// are multiply-shift indices resolved through Neighbor, so every backend of
-// the same topology still draws identically in batch mode.
+// applies the rule. The draws go through SampleNeighbor, byte-identical
+// to the serial loop.
 func (w *graphWorker) runGenericBatch(lp *graphLoop) {
 	h := int64(lp.h)
 	colors, next := lp.bufs.colors, lp.bufs.next
@@ -509,34 +424,11 @@ func (w *graphWorker) runGenericBatch(lp *graphLoop) {
 	for v0 := w.from; v0 < w.to; {
 		m := min(perBlock, w.to-v0)
 		idx := w.idx[:m*h]
-		if lp.relaxed {
-			p := 0
-			for v := v0; v < v0+m; v++ {
-				d := lp.unifDeg
-				if d == 0 {
-					d = src.Degree(v)
-				}
-				if d == 0 {
-					for s := int64(0); s < h; s++ {
-						idx[p] = v
-						p++
-					}
-					continue
-				}
-				ud := uint64(d)
-				for s := int64(0); s < h; s++ {
-					hi, _ := bits.Mul64(r.Uint64(), ud)
-					idx[p] = src.Neighbor(v, int64(hi))
-					p++
-				}
-			}
-		} else {
-			p := 0
-			for v := v0; v < v0+m; v++ {
-				for s := int64(0); s < h; s++ {
-					idx[p] = src.SampleNeighbor(v, r)
-					p++
-				}
+		p := 0
+		for v := v0; v < v0+m; v++ {
+			for s := int64(0); s < h; s++ {
+				idx[p] = src.SampleNeighbor(v, r)
+				p++
 			}
 		}
 		if lp.fast3 {
@@ -589,8 +481,8 @@ func (w *graphWorker) applyBlock(lp *graphLoop, buf []Color, next []Color, v0, m
 }
 
 // runFlatSerial is the legacy per-vertex flat loop, kept for rng-consuming
-// rules under the default byte contract (their draws must interleave with
-// the samples in per-vertex order). Same stream as the interface path: one
+// rules (their draws must interleave with the samples in per-vertex
+// order). Same stream as the interface path: one
 // Int63n(degree) per draw; isolated vertices sample themselves, matching
 // SampleNeighbor.
 func (w *graphWorker) runFlatSerial(lp *graphLoop) {
@@ -614,8 +506,7 @@ func (w *graphWorker) runFlatSerial(lp *graphLoop) {
 }
 
 // runGenericSerial is the legacy per-vertex loop over any NeighborSource,
-// kept for rng-consuming rules under the default byte contract. The
-// source's SampleNeighbor contract guarantees the identical rng stream.
+// kept for rng-consuming rules. The source's SampleNeighbor contract guarantees the identical rng stream.
 func (w *graphWorker) runGenericSerial(lp *graphLoop) {
 	h := lp.h
 	colors, next := lp.bufs.colors, lp.bufs.next

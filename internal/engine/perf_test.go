@@ -45,7 +45,6 @@ func TestStepZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch := GraphOpts{Sampler: SamplerBatch}
 	cases := map[string]Engine{
 		"clique-multinomial": NewCliqueMultinomial(dynamics.ThreeMajority{}, init),
 		"clique-markov":      NewCliqueMarkov(dynamics.ThreeMajorityKeepOwn{}, init),
@@ -61,22 +60,15 @@ func TestStepZeroAllocs(t *testing.T) {
 			torus, initTorus, 4, 11, nil),
 		"graph-mmap-w4": NewGraphEngine(dynamics.ThreeMajority{},
 			mmapSrc, init, 4, 11, nil),
-		// Every dispatch row of the rewritten graph loop: the skewed-degree
-		// batched path, the serial fallbacks (flat and generic) for an
-		// rng-consuming rule, and the relaxed batch sampler on flat, skewed
-		// and implicit sources.
+		// Every dispatch row of the graph loop: the skewed-degree batched
+		// path and the serial fallbacks (flat and generic) for an
+		// rng-consuming rule.
 		"graph-gnp-w4": NewGraphEngine(dynamics.ThreeMajority{}, gnp, init, 4, 11, nil),
 		"graph-csr-utie-serial-w4": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
 			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil),
 		"graph-implicit-utie-serial-w4": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
 			torus, initTorus, 4, 11, nil),
-		"graph-csr-batch-w4": NewGraphEngineOpts(dynamics.ThreeMajority{},
-			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil, batch),
-		"graph-csr-utie-batch-w4": NewGraphEngineOpts(dynamics.ThreeMajority{UniformTie: true},
-			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil, batch),
-		"graph-gnp-batch-w4":      NewGraphEngineOpts(dynamics.ThreeMajority{}, gnp, init, 4, 11, nil, batch),
-		"graph-implicit-batch-w4": NewGraphEngineOpts(dynamics.ThreeMajority{}, torus, initTorus, 4, 11, nil, batch),
-		"undecided-exact":         NewUndecidedExact(init),
+		"undecided-exact": NewUndecidedExact(init),
 	}
 	for name, e := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -70,8 +70,9 @@ func (r *Rand) Uint64() uint64 {
 // Uint64Block fills dst with consecutive outputs of the sequence,
 // byte-identical to len(dst) sequential Uint64 calls. The state lives in
 // locals across the loop so the compiler keeps it in registers instead of
-// re-loading the receiver per draw — this is the bulk-generation primitive
-// behind the engines' batched sampling paths.
+// re-loading the receiver per draw. dist.FillUniform draws its raws
+// through it, so the graph engine's batched sparse loops get the block
+// speed under the exact per-draw byte contract.
 func (r *Rand) Uint64Block(dst []uint64) {
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
 	for i := range dst {

@@ -105,13 +105,13 @@ func (s *Server) restore(rs *replayState) {
 	for _, rj := range rs.jobs {
 		if rj.state.Terminal() {
 			j := s.store.restore(rj.id, rj.spec, func() {})
-			j.adopt(rj.records, rj.state, rj.errmsg)
+			j.adopt(rj.records, rj.state, rj.err)
 			s.store.noteTerminal(j.id)
 			continue
 		}
 		ctx, cancel := context.WithCancel(s.baseCtx)
 		j := s.store.restore(rj.id, rj.spec, cancel)
-		j.adopt(rj.records, "", "")
+		j.adopt(rj.records, "", nil)
 		done := make(map[int]mc.Record, len(rj.records))
 		for _, rec := range rj.records {
 			done[rec.Rep] = rec

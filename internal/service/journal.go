@@ -189,7 +189,7 @@ type replayedJob struct {
 	id      string
 	spec    JobSpec
 	state   State
-	errmsg  string
+	err     error
 	records []mc.Record
 }
 
@@ -301,7 +301,12 @@ func (jr *journal) replayMeta() (*replayState, int64, error) {
 
 // applyEntry folds one well-formed entry into the replay state. Entries
 // that don't make sense (unknown ids, invalid specs, malformed ids) are
-// counted and skipped — replay must make progress on any input.
+// counted and skipped — replay must make progress on any input. The one
+// invalid spec kept is a submit that is valid except for naming a retired
+// sampler: it was an acknowledged job, so it comes back as terminal
+// failed with ErrUnsupportedSampler instead of vanishing. Later state entries cannot
+// revive it, and loadRecords cuts its records, which carry the retired
+// sampler's name suffix.
 func (rs *replayState) applyEntry(e journalEntry, byID map[string]*replayedJob, deleted map[string]bool) {
 	clean := false
 	defer func() { rs.clean = clean }()
@@ -313,7 +318,9 @@ func (rs *replayState) applyEntry(e journalEntry, byID map[string]*replayedJob, 
 		}
 		spec := *e.Spec
 		spec.Normalize()
-		if spec.Validate() != nil {
+		runnable := spec
+		runnable.Sampler = "default"
+		if runnable.Validate() != nil {
 			rs.dropped++
 			return
 		}
@@ -323,6 +330,9 @@ func (rs *replayState) applyEntry(e journalEntry, byID map[string]*replayedJob, 
 			rs.next = n
 		}
 		rj := &replayedJob{id: e.ID, spec: spec, state: StateQueued}
+		if err := spec.Validate(); err != nil { // only the sampler is left to fail
+			rj.state, rj.err = StateFailed, err
+		}
 		byID[e.ID] = rj
 		rs.jobs = append(rs.jobs, rj)
 	case "state":
@@ -336,8 +346,13 @@ func (rs *replayState) applyEntry(e journalEntry, byID map[string]*replayedJob, 
 			rs.dropped++
 			return
 		}
-		rj.state = e.State
-		rj.errmsg = e.Error
+		if errors.Is(rj.err, ErrUnsupportedSampler) {
+			return
+		}
+		rj.state, rj.err = e.State, nil
+		if e.Error != "" {
+			rj.err = errors.New(e.Error)
+		}
 	case "delete":
 		if byID[e.ID] == nil {
 			rs.dropped++

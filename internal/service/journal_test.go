@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,13 +156,14 @@ func TestJournalReplaySkipsBogusEntries(t *testing.T) {
 
 	metaPath := filepath.Join(dir, "journal.jsonl")
 	bogus := []string{
-		`{"type":"frobnicate"}`,                                    // unknown type
-		`{"type":"state","id":"j99","state":"done"}`,               // state for unknown job
-		`{"type":"state","id":"j2","state":"exploded"}`,            // unknown state value
-		`{"type":"submit","id":"../../etc/passwd","spec":{"n":1}}`, // malicious id
-		`{"type":"submit","id":"j3","spec":{"n":-5,"k":1}}`,        // invalid spec
-		`{"type":"submit","id":"j2","spec":{"n":1000,"k":2}}`,      // duplicate id
-		`{"type":"delete","id":"j77"}`,                             // delete of unknown job
+		`{"type":"frobnicate"}`,                                               // unknown type
+		`{"type":"state","id":"j99","state":"done"}`,                          // state for unknown job
+		`{"type":"state","id":"j2","state":"exploded"}`,                       // unknown state value
+		`{"type":"submit","id":"../../etc/passwd","spec":{"n":1}}`,            // malicious id
+		`{"type":"submit","id":"j3","spec":{"n":-5,"k":1}}`,                   // invalid spec
+		`{"type":"submit","id":"j4","spec":{"n":-5,"k":1,"sampler":"batch"}}`, // invalid beyond its sampler
+		`{"type":"submit","id":"j2","spec":{"n":1000,"k":2}}`,                 // duplicate id
+		`{"type":"delete","id":"j77"}`,                                        // delete of unknown job
 	}
 	f, err := os.OpenFile(metaPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -184,6 +186,61 @@ func TestJournalReplaySkipsBogusEntries(t *testing.T) {
 	}
 	if rs.next != 2 {
 		t.Fatalf("next counter %d, want 2 (malicious ids must not advance it)", rs.next)
+	}
+}
+
+// batchSamplerJournal copies the committed data dir of a daemon that
+// ran the retired sampler=batch mode: j1 is a finished batch job (its
+// records are stamped ".../sampler=batch"), j2 the same spec under the
+// default sampler, then a clean shutdown.
+func batchSamplerJournal(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "journal", "batch-sampler"))); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestJournalReplayRetiredSampler: the submit of a job naming the retired
+// batch sampler replays as a terminal failed job carrying
+// ErrUnsupportedSampler — not dropped, not revived by its later "done"
+// entry, and without adopting its records.
+func TestJournalReplayRetiredSampler(t *testing.T) {
+	jr, rs := openTestJournal(t, batchSamplerJournal(t))
+	defer jr.close(false)
+	if rs.dropped != 0 || len(rs.jobs) != 2 {
+		t.Fatalf("replay: %d jobs, dropped=%d; want 2 jobs, none dropped", len(rs.jobs), rs.dropped)
+	}
+	batch, def := rs.jobs[0], rs.jobs[1]
+	if batch.id != "j1" || batch.state != StateFailed || !errors.Is(batch.err, ErrUnsupportedSampler) {
+		t.Fatalf("batch job replayed as %s state=%s err=%v; want j1 failed with ErrUnsupportedSampler",
+			batch.id, batch.state, batch.err)
+	}
+	if len(batch.records) != 0 {
+		t.Fatalf("batch job adopted %d records", len(batch.records))
+	}
+	if def.id != "j2" || def.state != StateDone || def.err != nil || len(def.records) != 3 {
+		t.Fatalf("default job replayed as %s state=%s err=%v records=%d; want j2 done with 3 records",
+			def.id, def.state, def.err, len(def.records))
+	}
+}
+
+// TestRestoreRetiredSamplerJob: a server booted on that data dir serves
+// the batch job as failed with the unsupported-sampler error and no
+// records, and never re-runs it.
+func TestRestoreRetiredSamplerJob(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, DataDir: batchSamplerJournal(t)})
+	info := getJob(t, ts, "j1")
+	if info.State != StateFailed || !strings.Contains(info.Error, ErrUnsupportedSampler.Error()) || info.Records != 0 {
+		t.Fatalf("j1 restored as state=%s error=%q records=%d; want failed, unsupported sampler, 0 records",
+			info.State, info.Error, info.Records)
+	}
+	if raw, _ := fetchRecords(t, ts, "j1", ""); len(raw) != 0 {
+		t.Fatalf("j1 serves records after restore: %s", raw)
+	}
+	if info := getJob(t, ts, "j2"); info.State != StateDone || info.Records != 3 {
+		t.Fatalf("j2 restored as state=%s records=%d; want done with 3", info.State, info.Records)
 	}
 }
 

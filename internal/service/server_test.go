@@ -439,6 +439,23 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRetiredSampler: a POST naming the retired batch sampler is a
+// 400 carrying ErrUnsupportedSampler, not a job run under another
+// discipline.
+func TestSubmitRetiredSampler(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"engine":"graph","graph":"regular:6","n":64,"k":2,"sampler":"batch"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), ErrUnsupportedSampler.Error()) {
+		t.Fatalf("batch sampler: status %d body %s", resp.StatusCode, body)
+	}
+}
+
 func TestUnknownJob404(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	for _, url := range []string{"/v1/jobs/nope", "/v1/jobs/nope/records"} {

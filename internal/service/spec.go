@@ -90,11 +90,12 @@ type JobSpec struct {
 	Seed uint64 `json:"seed"`
 	// MaxRounds is the per-replicate round budget.
 	MaxRounds int `json:"max_rounds,omitempty"`
-	// Sampler selects the graph engine's rng draw discipline: "default"
-	// (the per-draw byte contract pinned by the golden traces) or "batch"
-	// (bulk Uint64-block generation — deterministic, certified by its own
-	// golden, but not draw-compatible with default). Only meaningful for
-	// Engine == "graph".
+	// Sampler names the graph engine's rng draw discipline. It is accepted
+	// only as "default" (what Normalize fills in); the retired "batch"
+	// discipline, or any other value, fails Validate with
+	// ErrUnsupportedSampler. The field stays so that old specs and
+	// journals decode and fail with that typed error instead of being
+	// silently run under the default discipline.
 	Sampler string `json:"sampler,omitempty"`
 	// Trace enables run-level telemetry capture: the first replicates of
 	// the job run with an obs.Recorder attached and their JSONL traces are
@@ -135,6 +136,10 @@ func (s *JobSpec) Normalize() {
 		s.Sampler = "default"
 	}
 }
+
+// ErrUnsupportedSampler is the Validate error for a Sampler other than
+// "default" (match it with errors.Is).
+var ErrUnsupportedSampler = errors.New("unsupported sampler")
 
 // statefulEngines maps the rules that carry their own engine and accept
 // only Engine == "auto".
@@ -249,15 +254,12 @@ func (s *JobSpec) Validate() error {
 			errs = append(errs, err)
 		}
 	}
-	sampler, samplerErr := engine.ParseSampler(s.Sampler)
-	if samplerErr != nil {
-		errs = append(errs, samplerErr)
+	if s.Sampler != "default" {
+		errs = append(errs, fmt.Errorf("%w %q (only \"default\" remains)", ErrUnsupportedSampler, s.Sampler))
 	}
 	eng, err := s.resolveEngine()
 	if err != nil {
 		errs = append(errs, err)
-	} else if samplerErr == nil && sampler == engine.SamplerBatch && eng != "graph" {
-		errs = append(errs, fmt.Errorf("sampler \"batch\" applies only to the graph engine, not %q", eng))
 	} else if s.N >= 1 {
 		maxN := int64(MaxNExact)
 		switch eng {
@@ -290,12 +292,6 @@ func (s *JobSpec) Name() string {
 		// The generator seed is part of the identity: the same spec with
 		// a different graph_seed runs on a different quenched topology.
 		name = fmt.Sprintf("%s/graph=%s/gseed=%d", name, s.Graph, s.GraphSeed)
-		// The relaxed sampler changes the per-replicate rng streams, so it
-		// is part of the identity too; the default is omitted to keep
-		// pre-existing job names (and resumable journals) stable.
-		if sampler, err := engine.ParseSampler(s.Sampler); err == nil && sampler == engine.SamplerBatch {
-			name += "/sampler=batch"
-		}
 	}
 	return name
 }
@@ -347,12 +343,7 @@ func (s *JobSpec) buildEngine(init colorcfg.Config, g topo.NeighborSource, r *rn
 	case "population":
 		return engine.NewPopulation(rule, init)
 	case "graph":
-		sampler, err := engine.ParseSampler(s.Sampler)
-		if err != nil {
-			panic(fmt.Sprintf("service: buildEngine on unvalidated spec: %v", err))
-		}
-		return engine.NewGraphEngineOpts(rule, g, init, 1, r.Uint64(), r,
-			engine.GraphOpts{Sampler: sampler})
+		return engine.NewGraphEngine(rule, g, init, 1, r.Uint64(), r)
 	}
 	panic(fmt.Sprintf("service: unreachable engine %q", eng))
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -51,7 +52,6 @@ func TestValidateAcceptsEveryEngine(t *testing.T) {
 		func(s *JobSpec) { s.Rule = "undecided" },
 		func(s *JobSpec) { s.Rule = "2choices-keepown" },
 		func(s *JobSpec) { s.Bias = "123" },
-		func(s *JobSpec) { s.Engine = "graph"; s.Graph = "regular:6"; s.Sampler = "batch" },
 		func(s *JobSpec) { s.Sampler = "default" },
 	}
 	for i, mutate := range cases {
@@ -104,11 +104,11 @@ func TestValidateRejects(t *testing.T) {
 		// A hostile torus n must be rejected in constant time, not by a
 		// √n-iteration side search or wrapping int64 arithmetic.
 		{func(s *JobSpec) { s.Engine = "graph"; s.Graph = "torus"; s.N = 1<<63 - 1 }, "graph engine needs n"},
-		{func(s *JobSpec) { s.Sampler = "turbo" }, "unknown sampler"},
-		// The relaxed sampler is a graph-engine notion; mean-field engines
-		// must refuse it rather than silently run the default discipline.
-		{func(s *JobSpec) { s.Sampler = "batch" }, "graph engine"},
-		{func(s *JobSpec) { s.Engine = "sampled"; s.Sampler = "batch" }, "graph engine"},
+		{func(s *JobSpec) { s.Sampler = "turbo" }, "unsupported sampler"},
+		// The batch sampler is retired: refused on every engine rather than
+		// silently run under the default discipline.
+		{func(s *JobSpec) { s.Sampler = "batch" }, "unsupported sampler"},
+		{func(s *JobSpec) { s.Engine = "graph"; s.Graph = "regular:6"; s.Sampler = "batch" }, "unsupported sampler"},
 	}
 	for i, tc := range cases {
 		s := validSpec()
@@ -121,6 +121,26 @@ func TestValidateRejects(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("case %d: error %q does not mention %q", i, err, tc.want)
 		}
+	}
+}
+
+// TestValidateSamplerTyped pins the typed failure for a non-default
+// sampler: callers (the HTTP handler, journal replay) tell it apart from
+// other validation errors with errors.Is, even when it is joined with
+// them.
+func TestValidateSamplerTyped(t *testing.T) {
+	s := validSpec()
+	s.Engine, s.Graph, s.Sampler = "graph", "regular:6", "batch"
+	if err := s.Validate(); !errors.Is(err, ErrUnsupportedSampler) {
+		t.Fatalf("Validate(sampler=batch) = %v, want ErrUnsupportedSampler", err)
+	}
+	s.K = 1
+	if err := s.Validate(); !errors.Is(err, ErrUnsupportedSampler) || !strings.Contains(err.Error(), "k must be") {
+		t.Fatalf("joined error %v lost ErrUnsupportedSampler or the k problem", err)
+	}
+	def := validSpec()
+	if err := def.Validate(); errors.Is(err, ErrUnsupportedSampler) {
+		t.Fatal("default sampler reported as unsupported")
 	}
 }
 
@@ -151,9 +171,6 @@ func TestNameCoversDistinguishingFields(t *testing.T) {
 		// Same topology, different generator seed → different quenched
 		// graph → must be a different job identity.
 		func(s *JobSpec) { s.Engine = "graph"; s.Graph = "cycle"; s.GraphSeed = 99; s.Normalize() },
-		// The relaxed sampler changes the replicate streams, so it must be
-		// part of the job identity.
-		func(s *JobSpec) { s.Engine = "graph"; s.Graph = "cycle"; s.Sampler = "batch" },
 	}
 	seen := map[string]bool{base.Name(): true}
 	for i, mutate := range mutations {

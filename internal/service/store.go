@@ -200,7 +200,7 @@ func (j *jobState) userCancelled() bool {
 // adopt restores replayed state: the already-journaled record prefix
 // and, for terminal jobs, the final state. Called before the job is
 // visible to any handler or executor.
-func (j *jobState) adopt(recs []mc.Record, st State, errmsg string) {
+func (j *jobState) adopt(recs []mc.Record, st State, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.recs = recs
@@ -209,9 +209,7 @@ func (j *jobState) adopt(recs []mc.Record, st State, errmsg string) {
 		// so jobs_finished_total must not count it.
 		j.met.jobTransition(StateQueued, st)
 		j.state = st
-		if errmsg != "" {
-			j.err = errors.New(errmsg)
-		}
+		j.err = err
 	}
 	j.met.replicatesResumed(j.engLabel, j.ruleLabel, len(recs))
 }

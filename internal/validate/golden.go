@@ -138,24 +138,6 @@ func StandardGoldenSpecs() []GoldenSpec {
 			Initial: colorcfg.Biased(512, 3, 96), Rounds: 15, Seed: 1012,
 		},
 		{
-			// The batch-sampler golden: pins the *relaxed* draw discipline
-			// (bulk block draws, no rejection sampling, draws completed per
-			// block before the rule applications consume the stream). The
-			// uniform-tie rule is deliberate — it draws from the same rng
-			// during Apply, so any change to block sizing or draw/apply
-			// interleaving moves these bytes even when the per-draw law is
-			// unchanged. Degree 6 is not a power of two, so the no-rejection
-			// fast draw is exercised rather than the shift identity.
-			Name: "graph-regular6-w2-3majorityutie-batch-n64-k4",
-			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
-				layout := rng.New(r.Uint64())
-				return engine.NewGraphEngineOpts(dynamics.ThreeMajority{UniformTie: true},
-					topo.LegacyRandomRegular(init.N(), 6, rng.New(r.Uint64())), init, 2, r.Uint64(), layout,
-					engine.GraphOpts{Sampler: engine.SamplerBatch})
-			},
-			Initial: colorcfg.Biased(64, 4, 16), Rounds: 15, Seed: 1013,
-		},
-		{
 			Name: "markov-2choiceskeepown-n90-k3",
 			NewEngine: func(init colorcfg.Config, _ *rng.Rand) engine.Engine {
 				return engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, init)

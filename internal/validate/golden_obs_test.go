@@ -10,14 +10,14 @@ import (
 
 // TestGoldenTracesObserved certifies the telemetry half of the
 // zero-cost-when-off contract (DESIGN.md §13): attaching an observer to
-// every engine leaves all 13 committed golden traces byte-identical,
+// every engine leaves all 12 committed golden traces byte-identical,
 // i.e. the observer consumed zero rng and perturbed nothing. It also
 // checks the observer actually fired once per round — a regression that
 // silently detached it would otherwise pass vacuously.
 func TestGoldenTracesObserved(t *testing.T) {
 	specs := StandardGoldenSpecs()
-	if len(specs) != 13 {
-		t.Fatalf("golden suite has %d specs, the observed-identity certification expects 13 — update this test alongside the suite", len(specs))
+	if len(specs) != 12 {
+		t.Fatalf("golden suite has %d specs, the observed-identity certification expects 12 — update this test alongside the suite", len(specs))
 	}
 	for _, spec := range specs {
 		t.Run(spec.Name, func(t *testing.T) {

@@ -93,6 +93,25 @@ func TestGoldenSpecsUnique(t *testing.T) {
 	}
 }
 
+// TestNoOrphanGoldens requires every file under testdata/golden/ to be
+// named by a golden spec: a retired golden's file must go with its case,
+// not linger on disk pinning nothing.
+func TestNoOrphanGoldens(t *testing.T) {
+	named := map[string]bool{}
+	for _, spec := range StandardGoldenSpecs() {
+		named[goldenPath(spec.Name)] = true
+	}
+	entries, err := os.ReadDir(filepath.Join("testdata", "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if path := filepath.Join("testdata", "golden", e.Name()); !named[path] {
+			t.Errorf("%s is named by no golden spec; delete it with its retired case", path)
+		}
+	}
+}
+
 // TestGoldenBytesIndependentOfPoolWorkers renders the full golden suite
 // through Monte-Carlo pools of different widths and requires bit-for-bit
 // identical output: the traces are a pure function of their specs, never

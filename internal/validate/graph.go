@@ -31,11 +31,6 @@ type GraphContractSpec struct {
 	Workers int
 	// Seed drives both the generator and the run.
 	Seed uint64
-	// Sampler selects the engine's rng draw discipline; the zero value is
-	// the default per-draw contract. Batch-sampler specs certify that the
-	// relaxed discipline is also representation-independent: every backend
-	// resolves draw i of vertex v to the same neighbor.
-	Sampler engine.Sampler
 }
 
 // StandardGraphSpecs covers the registry's generator and higher-dimension
@@ -43,11 +38,6 @@ type GraphContractSpec struct {
 func StandardGraphSpecs() []GraphContractSpec {
 	mk := func(spec string, n int64) GraphContractSpec {
 		return GraphContractSpec{Spec: spec, N: n, K: 3, Bias: n / 6, Rounds: 8, Workers: 2, Seed: 7101}
-	}
-	mkBatch := func(spec string, n int64) GraphContractSpec {
-		s := mk(spec, n)
-		s.Sampler = engine.SamplerBatch
-		return s
 	}
 	return []GraphContractSpec{
 		mk("smallworld:6:0.1", 600),
@@ -58,13 +48,6 @@ func StandardGraphSpecs() []GraphContractSpec {
 		mk("barbell:4", 600),
 		mk("regular:8", 600),
 		mk("gnp:0.02", 600),
-		// Batch-sampler certification over the three structural classes the
-		// relaxed discipline dispatches on: a flat uniform-degree family
-		// (regular), an implicit uniform-degree family (torus), and a
-		// skewed-degree family (ba) that exercises the per-vertex paths.
-		mkBatch("regular:8", 600),
-		mkBatch("torus:3", 512),
-		mkBatch("ba:3", 600),
 	}
 }
 
@@ -84,12 +67,8 @@ func CheckGraphContract(spec GraphContractSpec, opts Options) CheckResult {
 	if seed == 0 {
 		seed = spec.Seed
 	}
-	name := fmt.Sprintf("graph-contract/%s/n=%d/w=%d", spec.Spec, spec.N, spec.Workers)
-	if spec.Sampler != engine.SamplerDefault {
-		name += "/sampler=" + spec.Sampler.String()
-	}
 	res := CheckResult{
-		Name: name,
+		Name: fmt.Sprintf("graph-contract/%s/n=%d/w=%d", spec.Spec, spec.N, spec.Workers),
 		Kind: "graph-contract",
 		Seed: seed,
 		Pass: true,
@@ -170,8 +149,8 @@ func CheckGraphContract(spec GraphContractSpec, opts Options) CheckResult {
 	init := colorcfg.Biased(spec.N, spec.K, spec.Bias)
 	engines := make([]*engine.GraphEngine, len(backends))
 	for i, b := range backends {
-		engines[i] = engine.NewGraphEngineOpts(dynamics.ThreeMajority{}, b.src, init, spec.Workers,
-			seed^0x9e3779b9, rng.New(seed+1), engine.GraphOpts{Sampler: spec.Sampler})
+		engines[i] = engine.NewGraphEngine(dynamics.ThreeMajority{}, b.src, init, spec.Workers,
+			seed^0x9e3779b9, rng.New(seed+1))
 		defer engines[i].Close()
 	}
 	for round := 1; round <= spec.Rounds; round++ {
