@@ -154,25 +154,45 @@ func BenchmarkEngineGraphRound(b *testing.B) {
 // BenchmarkEngineGraphRoundSparse scales the CSR-sharded graph engine to
 // large sparse topologies: one synchronous 3-majority round on a random
 // 8-regular graph at n = 10⁶ and the headline n = 10⁷ (offsets + neighbors
-// ≈ 720 MB, double-buffered colors 80 MB — comfortably inside 2 GB; the
-// legacy engine path topped out around 10⁵).
+// ≈ 400 MB, double-buffered uint8 colors 20 MB — comfortably inside 2 GB;
+// the legacy engine path topped out around 10⁵).
 func BenchmarkEngineGraphRoundSparse(b *testing.B) {
 	for _, n := range []int64{1_000_000, 10_000_000} {
 		g := topo.RandomRegular("regular:8", n, 8, rng.New(4))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e := engine.NewGraphEngine(dynamics.ThreeMajority{}, g,
-				colorcfg.Biased(n, 8, n/100), 4, 17, rng.New(5))
-			defer e.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step(nil)
-			}
-			// ns/agent is the unit the CI perf budget is written in (the
-			// ROADMAP target is <= 50 ns/agent at n = 10⁷ on 4 workers).
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/agent")
+			benchSparseRound(b, g, 8)
 		})
 	}
+}
+
+// BenchmarkEngineGraphRoundSparseWide is the n = 10⁷ sparse round at
+// k = 1024, so the engine stores uint16 colors: the price of the wider
+// gather against BenchmarkEngineGraphRoundSparse's uint8 row. It is a
+// separate benchmark so the CI name matches on the k = 8 rows stay valid.
+func BenchmarkEngineGraphRoundSparseWide(b *testing.B) {
+	const n = 10_000_000
+	benchSparseRound(b, topo.RandomRegular("regular:8", n, 8, rng.New(4)), 1024)
+}
+
+// benchSparseRound times 3-majority rounds on g with k colors and 4
+// workers, reporting ns/agent.
+func benchSparseRound(b *testing.B, g topo.NeighborSource, k int) {
+	n := g.N()
+	e := engine.NewGraphEngine(dynamics.ThreeMajority{}, g,
+		colorcfg.Biased(n, k, n/100), 4, 17, rng.New(5))
+	defer e.Close()
+	// Two untimed rounds write both color buffers, so first-touch page
+	// faults stay out of the timed rounds.
+	e.Step(nil)
+	e.Step(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step(nil)
+	}
+	// ns/agent is the unit the CI perf budget is written in (the ROADMAP
+	// target is <= 25 ns/agent·core at n = 10⁷).
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/agent")
 }
 
 // BenchmarkEngineGraphRoundSparseObserved re-runs the headline n = 10⁷

@@ -1,9 +1,11 @@
 // Bigmem smoke: proves the implicit backend's zero-materialization claim
 // with a hard number — building a 10⁸-vertex torus keeps the process under
-// 256 MB RSS, because nothing but the NeighborSource value exists. The CI
-// bigmem-smoke job runs this with PLURALITY_BIGMEM=1; without the gate the
-// test skips, since one engine round at n = 10⁸ takes minutes on small
-// runners and the color arrays alone need ~800 MB.
+// 256 MB RSS, because nothing but the NeighborSource value exists — and
+// the packed-color claim with another: after one round at k = 4 the
+// process stays under 512 MB, because the two color buffers are uint8
+// (200 MB; int32 buffers would be 800 MB). The CI bigmem-smoke job runs
+// this with PLURALITY_BIGMEM=1; without the gate the test skips, since one
+// engine round at n = 10⁸ takes minutes on small runners.
 package plurality_test
 
 import (
@@ -52,8 +54,8 @@ func rssBytes(t *testing.T) int64 {
 // and asserts RSS stays under 256 MB before any colors are allocated — a
 // materialized CSR of the same graph would be 4.8 GB of adjacency alone.
 // It then runs one synchronous 3-majority round to prove the engine
-// actually works at this scale, under the looser budget the two color
-// buffers impose (2 × 4 B × 10⁸ = 800 MB, plus worker scratch).
+// actually works at this scale, under the budget the two uint8 color
+// buffers impose (2 × 1 B × 10⁸ = 200 MB, plus worker scratch).
 func TestBigmemImplicitTorus(t *testing.T) {
 	if os.Getenv("PLURALITY_BIGMEM") != "1" {
 		t.Skip("set PLURALITY_BIGMEM=1 to run the 10^8-vertex smoke")
@@ -78,11 +80,12 @@ func TestBigmemImplicitTorus(t *testing.T) {
 	if err := e.Config().Validate(n); err != nil {
 		t.Fatalf("round broke conservation: %v", err)
 	}
-	// Colors dominate now; 2 GB leaves headroom over the ~1 GB floor
-	// while still catching any O(n·degree) regression (a materialized
-	// 4-regular adjacency would add ~4.8 GB).
-	const engineBudget = 2 << 30
+	// Colors dominate now; 512 MB leaves headroom over the ~200 MB of
+	// uint8 buffers while catching a regression to int32 colors (800 MB)
+	// or any O(n·degree) one (a materialized 4-regular adjacency would
+	// add ~4.8 GB).
+	const engineBudget = 512 << 20
 	if rss := rssBytes(t); rss > engineBudget {
-		t.Fatalf("RSS after one n=10^8 round is %d MB, budget 2048 MB", rss>>20)
+		t.Fatalf("RSS after one n=10^8 round is %d MB, budget 512 MB", rss>>20)
 	}
 }

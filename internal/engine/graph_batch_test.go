@@ -62,7 +62,7 @@ func TestGraphBatchMatchesSerialBytes(t *testing.T) {
 						t.Fatalf("workers=%d round %d: configs diverged: %v vs %v",
 							workers, round, batched.Config(), serial.Config())
 					}
-					if !slices.Equal(batched.Colors(), serial.Colors()) {
+					if !slices.Equal(batched.AppendColors(nil), serial.AppendColors(nil)) {
 						t.Fatalf("workers=%d round %d: per-vertex colors diverged", workers, round)
 					}
 				}
@@ -73,10 +73,10 @@ func TestGraphBatchMatchesSerialBytes(t *testing.T) {
 	}
 }
 
-// TestGraphColorsSnapshot pins the Colors/AppendColors contract: Colors is
-// a live view invalidated by the next Step (the swap turns it into scratch),
-// while AppendColors is a caller-owned snapshot that keeps describing the
-// round it was taken at.
+// TestGraphColorsSnapshot pins the AppendColors contract: the result is a
+// caller-owned snapshot, widened to Color, that keeps describing the round
+// it was taken at; it tallies to that round's Config, and it appends to
+// dst rather than overwriting it.
 func TestGraphColorsSnapshot(t *testing.T) {
 	const n, k = 2000, 4
 	csr := topo.RandomRegular("regular:6", n, 6, rng.New(31))
@@ -85,23 +85,21 @@ func TestGraphColorsSnapshot(t *testing.T) {
 	e.Step(nil)
 
 	cfgBefore := e.Config()
-	live := e.Colors()
 	snap := e.AppendColors(nil)
-	if !slices.Equal(snap, live) {
-		t.Fatal("AppendColors disagrees with Colors at the same round")
+	if got := colorcfg.FromAgents(snap, k); !got.Equal(cfgBefore) {
+		t.Fatalf("snapshot tallies to %v, want %v", got, cfgBefore)
 	}
 	e.Step(nil)
-	// The snapshot still tallies to the pre-step configuration; the live
-	// view now aliases the engine's current buffer.
+	e.Step(nil) // both buffers have now been overwritten since the snapshot
 	if got := colorcfg.FromAgents(snap, k); !got.Equal(cfgBefore) {
 		t.Errorf("snapshot drifted after Step: tallies to %v, want %v", got, cfgBefore)
 	}
-	if got := colorcfg.FromAgents(e.Colors(), k); !got.Equal(e.Config()) {
-		t.Errorf("live view out of sync with Config: %v vs %v", got, e.Config())
+	now := e.AppendColors(nil)
+	if got := colorcfg.FromAgents(now, k); !got.Equal(e.Config()) {
+		t.Errorf("fresh snapshot out of sync with Config: %v vs %v", got, e.Config())
 	}
-	// AppendColors appends rather than overwrites.
 	both := e.AppendColors(snap)
-	if len(both) != 2*n || !slices.Equal(both[:n], snap[:n]) {
+	if len(both) != 2*n || !slices.Equal(both[:n], snap[:n]) || !slices.Equal(both[n:], now) {
 		t.Error("AppendColors does not append to dst")
 	}
 }

@@ -39,7 +39,7 @@ func TestGraphEngineCSRByteContract(t *testing.T) {
 				t.Fatalf("workers=%d round %d: configs diverged: %v vs %v",
 					workers, round, fast.Config(), slow.Config())
 			}
-			if !slices.Equal(fast.Colors(), slow.Colors()) {
+			if !slices.Equal(fast.AppendColors(nil), slow.AppendColors(nil)) {
 				t.Fatalf("workers=%d round %d: per-vertex colors diverged", workers, round)
 			}
 		}
@@ -157,7 +157,7 @@ func TestGraphEngineCSRLargeShardedRound(t *testing.T) {
 				t.Fatalf("workers=%d round %d: %v", workers, i, err)
 			}
 		}
-		if recount := colorcfg.FromAgents(e.Colors(), 5); !recount.Equal(e.Config()) {
+		if recount := colorcfg.FromAgents(e.AppendColors(nil), 5); !recount.Equal(e.Config()) {
 			t.Fatalf("workers=%d: tally drifted from agent array", workers)
 		}
 		e.Close()

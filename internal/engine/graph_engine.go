@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"plurality/internal/colorcfg"
 	"plurality/internal/dist"
@@ -49,13 +50,17 @@ import (
 // same rng stream as the legacy loops, so the plan is never part of a
 // run's identity.
 type GraphEngine struct {
-	rule    dynamics.Rule
-	src     topo.NeighborSource
-	bufs    *graphBuffers
-	cfg     colorcfg.Config
-	round   int
-	loop    *graphLoop
-	workers []*graphWorker
+	rule  dynamics.Rule
+	src   topo.NeighborSource
+	cfg   colorcfg.Config
+	round int
+	loop  *graphLoop
+	// colors is the engine's *graphBuffers[T] for the width NewGraphEngine
+	// picked; the engine reaches it only through the width-free colorStore
+	// methods, the workers through their typed pointer.
+	colors  colorStore
+	tallies [][]int64 // per-worker tallies, summed into cfg every Step
+	run     func()    // the single worker's pass when pool is nil
 	pool    *workerPool
 }
 
@@ -64,18 +69,61 @@ type GraphEngine struct {
 // calls NewGraphEngine.
 type GraphOpts struct{}
 
+// colorWord is the storage type of a vertex color. NewGraphEngine picks
+// the narrowest word that holds k−1: uint8 for k ≤ 256, uint16 for
+// k ≤ 65536, int32 above. The width changes neither the rng stream nor
+// any config, only the bytes the round's random gather touches.
+type colorWord interface{ ~uint8 | ~uint16 | ~int32 }
+
 // graphBuffers holds the double-buffered vertex color arrays. They live in
 // a separate allocation so pool goroutines can reference them (the buffers
 // swap every round) without pinning the engine itself.
-type graphBuffers struct {
-	colors []Color
-	next   []Color
+type graphBuffers[T colorWord] struct {
+	colors []T
+	next   []T
+}
+
+// colorStore is the width-free view of a *graphBuffers[T] the
+// non-generic engine needs outside the worker loops.
+type colorStore interface {
+	swap()
+	appendColors(dst []Color) []Color
+	repaint(from, to Color, m int64) int64
+}
+
+func (b *graphBuffers[T]) swap() { b.colors, b.next = b.next, b.colors }
+
+func (b *graphBuffers[T]) appendColors(dst []Color) []Color {
+	off := len(dst)
+	dst = slices.Grow(dst, len(b.colors))[:off+len(b.colors)]
+	for i, c := range b.colors {
+		dst[off+i] = Color(c)
+	}
+	return dst
+}
+
+// repaint recolors the first m vertices holding from and reports how many
+// it moved.
+func (b *graphBuffers[T]) repaint(from, to Color, m int64) int64 {
+	f, t := T(from), T(to)
+	var moved int64
+	for i, c := range b.colors {
+		if moved == m {
+			break
+		}
+		if c == f {
+			b.colors[i] = t
+			moved++
+		}
+	}
+	return moved
 }
 
 // graphLoop is the engine's sampling plan: everything the worker loops
-// need, resolved once at construction and immutable afterwards. It lives in
-// its own allocation (like graphBuffers) so pool goroutines never capture
-// the engine itself. Dispatch order in graphWorker.run:
+// need besides the color buffers, resolved once at construction and
+// immutable afterwards. Nothing in it depends on the color width. It lives
+// in its own allocation (like graphBuffers) so pool goroutines never
+// capture the engine itself. Dispatch order in graphWorker.run:
 //
 //	alias != nil            → clique fast path (batched alias draws)
 //	offsets != nil && batch → flat two-pass loop: fill a neighbor-index
@@ -90,7 +138,6 @@ type graphBuffers struct {
 type graphLoop struct {
 	src  topo.NeighborSource
 	rule dynamics.Rule
-	bufs *graphBuffers
 	// alias is non-nil only on the complete+self fast path.
 	alias *dist.Alias
 	// offsets/neighbors are non-nil only when src exposes topo.Flat; the
@@ -115,12 +162,13 @@ type graphLoop struct {
 	fast3 bool
 }
 
-type graphWorker struct {
+type graphWorker[T colorWord] struct {
+	bufs  *graphBuffers[T]
 	r     *rng.Rand
 	from  int64
 	to    int64
 	tally []int64 // cache-line padded; see paddedTallies
-	buf   []Color // h scratch colors; a block multiple on batched paths
+	buf   []Color // h scratch colors, widened for rule.Apply; a block multiple on batched paths
 	idx   []int64 // batched paths: per-block neighbor vertex ids
 }
 
@@ -133,8 +181,22 @@ func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial col
 // initial configuration is laid out over the vertices in color blocks and
 // then shuffled with layoutRng so that topology experiments are not biased
 // by block placement (on the clique the layout is irrelevant).
-// workers <= 1 runs single-threaded.
+// workers <= 1 runs single-threaded. The colors are stored in the
+// narrowest colorWord that holds initial.K()−1.
 func NewGraphEngine(rule dynamics.Rule, src topo.NeighborSource, initial colorcfg.Config, workers int, seed uint64, layoutRng *rng.Rand) *GraphEngine {
+	switch k := initial.K(); {
+	case k <= 1<<8:
+		return newGraphEngine[uint8](rule, src, initial, workers, seed, layoutRng)
+	case k <= 1<<16:
+		return newGraphEngine[uint16](rule, src, initial, workers, seed, layoutRng)
+	default:
+		return newGraphEngine[int32](rule, src, initial, workers, seed, layoutRng)
+	}
+}
+
+// newGraphEngine is NewGraphEngine with the color width fixed to T, which
+// must hold initial.K()−1.
+func newGraphEngine[T colorWord](rule dynamics.Rule, src topo.NeighborSource, initial colorcfg.Config, workers int, seed uint64, layoutRng *rng.Rand) *GraphEngine {
 	n := src.N()
 	if initial.N() != n {
 		panic(fmt.Sprintf("engine: configuration has %d agents but graph has %d vertices", initial.N(), n))
@@ -149,19 +211,27 @@ func NewGraphEngine(rule dynamics.Rule, src topo.NeighborSource, initial colorcf
 	if int64(workers) > n {
 		workers = int(n)
 	}
-	e := &GraphEngine{
-		rule: rule,
-		src:  src,
-		bufs: &graphBuffers{
-			colors: initial.ToAgents(nil),
-			next:   make([]Color, n),
-		},
-		cfg: initial.Clone(),
+	// The layout goes straight into the packed buffer: color blocks, then
+	// the shuffle, whose swap draws do not depend on the contents.
+	bufs := &graphBuffers[T]{colors: make([]T, n), next: make([]T, n)}
+	lo := int64(0)
+	for j, c := range initial {
+		block := bufs.colors[lo : lo+c]
+		for i := range block {
+			block[i] = T(j)
+		}
+		lo += c
 	}
 	if layoutRng != nil {
-		rng.Shuffle(layoutRng, e.bufs.colors)
+		rng.Shuffle(layoutRng, bufs.colors)
 	}
-	lp := &graphLoop{src: src, rule: rule, bufs: e.bufs, h: h}
+	e := &GraphEngine{
+		rule:   rule,
+		src:    src,
+		cfg:    initial.Clone(),
+		colors: bufs,
+	}
+	lp := &graphLoop{src: src, rule: rule, h: h}
 	if c, ok := src.(topo.Complete); ok && c.IncludeSelf {
 		lp.alias = dist.NewAliasCounts(initial)
 	} else {
@@ -180,8 +250,9 @@ func NewGraphEngine(rule dynamics.Rule, src topo.NeighborSource, initial colorcf
 	}
 	e.loop = lp
 	streams := rng.Streams(seed, workers)
-	tallies := paddedTallies(workers, initial.K())
-	for w := 0; w < workers; w++ {
+	e.tallies = paddedTallies(workers, initial.K())
+	fns := make([]func(), workers)
+	for w := range fns {
 		from, to := shardRange(n, workers, w)
 		bufLen := h
 		idxLen := 0
@@ -191,21 +262,21 @@ func NewGraphEngine(rule dynamics.Rule, src topo.NeighborSource, initial colorcf
 		if lp.batch {
 			idxLen = bufLen
 		}
-		e.workers = append(e.workers, &graphWorker{
+		wk := &graphWorker[T]{
+			bufs:  bufs,
 			r:     streams[w],
 			from:  from,
 			to:    to,
-			tally: tallies[w],
+			tally: e.tallies[w],
 			buf:   make([]Color, bufLen),
 			idx:   make([]int64, idxLen),
-		})
+		}
+		fns[w] = func() { wk.run(lp) }
 	}
 	if workers > 1 {
-		fns := make([]func(), workers)
-		for i, w := range e.workers {
-			fns[i] = func() { w.run(lp) }
-		}
 		e.pool = attachPool(e, fns)
+	} else {
+		e.run = fns[0]
 	}
 	return e
 }
@@ -243,7 +314,7 @@ func (e *GraphEngine) Close() {
 
 // Name implements Engine.
 func (e *GraphEngine) Name() string {
-	return fmt.Sprintf("graph[%s,%s,w=%d]", e.src.Name(), e.rule.Name(), len(e.workers))
+	return fmt.Sprintf("graph[%s,%s,w=%d]", e.src.Name(), e.rule.Name(), len(e.tallies))
 }
 
 // N implements Engine.
@@ -258,19 +329,12 @@ func (e *GraphEngine) Round() int { return e.round }
 // Config implements Engine.
 func (e *GraphEngine) Config() colorcfg.Config { return e.cfg.Clone() }
 
-// Colors returns the engine's live per-vertex color slice — a view, not a
-// copy. The view is valid only until the next Step: the double-buffer swap
-// turns the returned array into the following round's scratch target, so a
-// caller holding it across Steps reads half-written data. Read it (or copy
-// it out, e.g. with AppendColors) before stepping again; mutate only
-// through Repaint.
-func (e *GraphEngine) Colors() []Color { return e.bufs.colors }
-
-// AppendColors appends a stable snapshot of the current per-vertex colors
-// to dst (which may be nil) and returns the extended slice. Unlike Colors,
-// the result is owned by the caller and survives any number of Steps.
+// AppendColors appends a snapshot of the current per-vertex colors to dst
+// (which may be nil), widened to Color whatever the engine's storage
+// width, and returns the extended slice. The result is owned by the
+// caller and survives any number of Steps.
 func (e *GraphEngine) AppendColors(dst []Color) []Color {
-	return append(dst, e.bufs.colors...)
+	return e.colors.appendColors(dst)
 }
 
 // Step implements Engine.
@@ -279,14 +343,14 @@ func (e *GraphEngine) Step(_ *rng.Rand) {
 		e.loop.alias.ResetCounts(e.cfg)
 	}
 	if e.pool == nil {
-		e.workers[0].run(e.loop)
+		e.run()
 	} else {
 		e.pool.step()
 	}
-	e.bufs.colors, e.bufs.next = e.bufs.next, e.bufs.colors
+	e.colors.swap()
 	clear(e.cfg)
-	for _, w := range e.workers {
-		for j, v := range w.tally {
+	for _, tally := range e.tallies {
+		for j, v := range tally {
 			e.cfg[j] += v
 		}
 	}
@@ -295,7 +359,7 @@ func (e *GraphEngine) Step(_ *rng.Rand) {
 
 // run processes the worker's vertex shard into bufs.next, dispatching on
 // the engine's sampling plan (see graphLoop).
-func (w *graphWorker) run(lp *graphLoop) {
+func (w *graphWorker[T]) run(lp *graphLoop) {
 	clear(w.tally)
 	switch {
 	case lp.alias != nil:
@@ -313,9 +377,9 @@ func (w *graphWorker) run(lp *graphLoop) {
 
 // runClique is the complete+self fast path: batched i.i.d. color draws from
 // the alias table.
-func (w *graphWorker) runClique(lp *graphLoop) {
+func (w *graphWorker[T]) runClique(lp *graphLoop) {
 	h := lp.h
-	next := lp.bufs.next
+	next := w.bufs.next
 	perBatch := int64(len(w.buf) / h)
 	for v := w.from; v < w.to; {
 		m := min(perBatch, w.to-v)
@@ -323,7 +387,7 @@ func (w *graphWorker) runClique(lp *graphLoop) {
 		lp.alias.SampleMany(w.r, batch)
 		for i := int64(0); i < m; i++ {
 			c := lp.rule.Apply(batch[int(i)*h:int(i+1)*h], w.r)
-			next[v+i] = c
+			next[v+i] = T(c)
 			w.tally[c]++
 		}
 		v += m
@@ -337,9 +401,9 @@ func (w *graphWorker) runClique(lp *graphLoop) {
 // out-of-order core overlap the block's random color-array reads — the
 // dominant cache misses at n >= 10⁷ — instead of serializing them behind
 // each vertex's rule application.
-func (w *graphWorker) runFlatBatch(lp *graphLoop) {
+func (w *graphWorker[T]) runFlatBatch(lp *graphLoop) {
 	h := int64(lp.h)
-	colors, next := lp.bufs.colors, lp.bufs.next
+	colors, next := w.bufs.colors, w.bufs.next
 	offsets, neighbors := lp.offsets, lp.neighbors
 	perBlock := int64(len(w.idx)) / h
 	for v0 := w.from; v0 < w.to; {
@@ -369,7 +433,7 @@ func (w *graphWorker) runFlatBatch(lp *graphLoop) {
 		} else {
 			buf := w.buf[:len(idx)]
 			for i, u := range idx {
-				buf[i] = colors[u]
+				buf[i] = Color(colors[u])
 			}
 			w.applyBlock(lp, buf, next, v0, m)
 		}
@@ -383,7 +447,7 @@ func (w *graphWorker) runFlatBatch(lp *graphLoop) {
 // inlined Lemire multiply-shift below is rng.Uint64n verbatim, with the
 // rejection threshold hoisted per vertex), none for an isolated vertex,
 // which samples itself.
-func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
+func (w *graphWorker[T]) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 	h := lp.h
 	offsets, neighbors := lp.offsets, lp.neighbors
 	r := w.r
@@ -415,9 +479,9 @@ func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 // sampled neighbor ids through the interface, pass 2 gathers colors and
 // applies the rule. The draws go through SampleNeighbor, byte-identical
 // to the serial loop.
-func (w *graphWorker) runGenericBatch(lp *graphLoop) {
+func (w *graphWorker[T]) runGenericBatch(lp *graphLoop) {
 	h := int64(lp.h)
-	colors, next := lp.bufs.colors, lp.bufs.next
+	colors, next := w.bufs.colors, w.bufs.next
 	src := lp.src
 	r := w.r
 	perBlock := int64(len(w.idx)) / h
@@ -436,7 +500,7 @@ func (w *graphWorker) runGenericBatch(lp *graphLoop) {
 		} else {
 			buf := w.buf[:len(idx)]
 			for i, u := range idx {
-				buf[i] = colors[u]
+				buf[i] = Color(colors[u])
 			}
 			w.applyBlock(lp, buf, next, v0, m)
 		}
@@ -451,7 +515,7 @@ func (w *graphWorker) runGenericBatch(lp *graphLoop) {
 // to mispredict while the three gather loads per vertex pipeline. (A
 // split gather-then-apply variant was measured slower: the extra buffer
 // pass costs more than the denser load window buys.)
-func (w *graphWorker) applyFused3(colors, next []Color, idx []int64, v0, m int64) {
+func (w *graphWorker[T]) applyFused3(colors, next []T, idx []int64, v0, m int64) {
 	tally := w.tally
 	p := 0
 	for i := int64(0); i < m; i++ {
@@ -469,13 +533,13 @@ func (w *graphWorker) applyFused3(colors, next []Color, idx []int64, v0, m int64
 
 // applyBlock applies the rule to each h-sample group of buf, writing
 // next[v0:v0+m] and the worker tally.
-func (w *graphWorker) applyBlock(lp *graphLoop, buf []Color, next []Color, v0, m int64) {
+func (w *graphWorker[T]) applyBlock(lp *graphLoop, buf []Color, next []T, v0, m int64) {
 	h := lp.h
 	p := 0
 	for i := int64(0); i < m; i++ {
 		c := lp.rule.Apply(buf[p:p+h], w.r)
 		p += h
-		next[v0+i] = c
+		next[v0+i] = T(c)
 		w.tally[c]++
 	}
 }
@@ -485,9 +549,9 @@ func (w *graphWorker) applyBlock(lp *graphLoop, buf []Color, next []Color, v0, m
 // order). Same stream as the interface path: one
 // Int63n(degree) per draw; isolated vertices sample themselves, matching
 // SampleNeighbor.
-func (w *graphWorker) runFlatSerial(lp *graphLoop) {
+func (w *graphWorker[T]) runFlatSerial(lp *graphLoop) {
 	h := lp.h
-	colors, next := lp.bufs.colors, lp.bufs.next
+	colors, next := w.bufs.colors, w.bufs.next
 	offsets, neighbors := lp.offsets, lp.neighbors
 	for v := w.from; v < w.to; v++ {
 		lo := offsets[v]
@@ -497,25 +561,25 @@ func (w *graphWorker) runFlatSerial(lp *graphLoop) {
 			if d != 0 {
 				u = int64(neighbors[lo+w.r.Int63n(d)])
 			}
-			w.buf[s] = colors[u]
+			w.buf[s] = Color(colors[u])
 		}
 		c := lp.rule.Apply(w.buf[:h], w.r)
-		next[v] = c
+		next[v] = T(c)
 		w.tally[c]++
 	}
 }
 
 // runGenericSerial is the legacy per-vertex loop over any NeighborSource,
 // kept for rng-consuming rules. The source's SampleNeighbor contract guarantees the identical rng stream.
-func (w *graphWorker) runGenericSerial(lp *graphLoop) {
+func (w *graphWorker[T]) runGenericSerial(lp *graphLoop) {
 	h := lp.h
-	colors, next := lp.bufs.colors, lp.bufs.next
+	colors, next := w.bufs.colors, w.bufs.next
 	for v := w.from; v < w.to; v++ {
 		for s := 0; s < h; s++ {
-			w.buf[s] = colors[lp.src.SampleNeighbor(v, w.r)]
+			w.buf[s] = Color(colors[lp.src.SampleNeighbor(v, w.r)])
 		}
 		c := lp.rule.Apply(w.buf[:h], w.r)
-		next[v] = c
+		next[v] = T(c)
 		w.tally[c]++
 	}
 }
@@ -529,17 +593,7 @@ func (e *GraphEngine) Repaint(from, to Color, m int64) int64 {
 	if int(from) >= e.K() || int(to) >= e.K() || from < 0 || to < 0 {
 		panic("engine: Repaint color out of range")
 	}
-	colors := e.bufs.colors
-	var moved int64
-	for i := range colors {
-		if moved == m {
-			break
-		}
-		if colors[i] == from {
-			colors[i] = to
-			moved++
-		}
-	}
+	moved := e.colors.repaint(from, to, m)
 	e.cfg[from] -= moved
 	e.cfg[to] += moved
 	return moved

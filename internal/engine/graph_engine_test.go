@@ -21,7 +21,7 @@ func TestGraphEngineCliqueConservesN(t *testing.T) {
 				t.Fatalf("workers=%d round %d: %v", workers, i, err)
 			}
 			// The tallied config must match a recount of the agent array.
-			recount := colorcfg.FromAgents(e.Colors(), 4)
+			recount := colorcfg.FromAgents(e.AppendColors(nil), 4)
 			if !recount.Equal(e.Config()) {
 				t.Fatalf("tally drifted from agents at round %d", i)
 			}
@@ -114,7 +114,7 @@ func TestGraphEngineRepaint(t *testing.T) {
 	if c[0] != 35 || c[1] != 65 {
 		t.Fatalf("after repaint: %v", c)
 	}
-	recount := colorcfg.FromAgents(e.Colors(), 2)
+	recount := colorcfg.FromAgents(e.AppendColors(nil), 2)
 	if !recount.Equal(c) {
 		t.Fatal("repaint desynced tally from agents")
 	}

@@ -17,14 +17,18 @@ import (
 // of every engine allocates nothing, including the multi-worker engines
 // (persistent worker pools) and the graph engine on every backend — the
 // clique alias path, the flat CSR path, the implicit functional path, and
-// the mmap-backed path — and all five graphWorker.run dispatch rows.
+// the mmap-backed path — and all five graphWorker.run dispatch rows, at
+// uint8 colors (k=8) and, for the flat-batch and generic-serial rows, at
+// uint16 colors (k=300).
 func TestStepZeroAllocs(t *testing.T) {
 	r := rng.New(1)
 	init := colorcfg.Biased(20_000, 8, 500)
+	init16 := colorcfg.Biased(20_000, 300, 500)
 
 	// The implicit torus samples neighbors functionally — nothing but the
 	// color arrays is materialized. n must be an exact cube for torus:3.
 	initTorus := colorcfg.Biased(13_824, 8, 500) // 24³
+	initTorus16 := colorcfg.Biased(13_824, 300, 500)
 	torus, err := topo.BuildSource("torus:3", 13_824, nil, topo.BuildOpts{Mode: topo.ModeImplicit})
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +72,10 @@ func TestStepZeroAllocs(t *testing.T) {
 			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil),
 		"graph-implicit-utie-serial-w4": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
 			torus, initTorus, 4, 11, nil),
+		"graph-csr-w4-k300": NewGraphEngine(dynamics.ThreeMajority{},
+			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init16, 4, 11, nil),
+		"graph-implicit-utie-serial-w4-k300": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
+			torus, initTorus16, 4, 11, nil),
 		"undecided-exact": NewUndecidedExact(init),
 	}
 	for name, e := range cases {

@@ -39,12 +39,16 @@ const (
 	// which hold the full adjacency in RAM; the per-family adjacency memory
 	// is capped separately by topo.MaxAdjEntries inside the registry
 	// validation. The CSR-sharded engine sustains rounds at this scale in
-	// well under 2 GB.
+	// well under 2 GB; its color buffers take 20 MB at k ≤ 256 (uint8)
+	// and 40 MB at k ≤ MaxK (uint16).
 	MaxNGraph = 10_000_000
 	// MaxNGraphImplicit bounds n for the graph engine on implicit families
 	// (topo.IsImplicit: complete, cycle, star, torus, hypercube), whose
 	// neighbors are computed rather than stored — the only per-agent memory
-	// is the color arrays, so the cap matches the exact engines'.
+	// is the two color buffers, so the cap matches the exact engines'. At
+	// n = 10⁹ those buffers come to about 2 GB per replicate at k ≤ 256
+	// (uint8 colors) and 4 GB at k ≤ MaxK (uint16); computed from the
+	// widths, not measured.
 	MaxNGraphImplicit = 1_000_000_000
 	// DefaultMaxRounds is applied when a spec omits max_rounds.
 	DefaultMaxRounds = 200_000
