@@ -25,10 +25,9 @@ import (
 	"plurality/internal/adversary"
 	"plurality/internal/colorcfg"
 	"plurality/internal/core"
-	"plurality/internal/dynamics"
-	"plurality/internal/engine"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
+	"plurality/internal/spec"
 	"plurality/internal/topo"
 )
 
@@ -69,42 +68,39 @@ func run(ruleName, engName, graphName, graphMode, graphFile string, n int64, k i
 	if k < 1 {
 		return fmt.Errorf("-k %d: need at least one color", k)
 	}
-	bias, err := parseBias(biasFlag, n, k)
+	if maxRounds < 1 {
+		return fmt.Errorf("-max-rounds %d: need at least one round", maxRounds)
+	}
+	bias, err := spec.ParseBias(biasFlag, n, k)
 	if err != nil {
 		return err
 	}
-	if bias < 0 || bias > n {
-		return fmt.Errorf("-bias %d outside [0, n=%d]", bias, n)
+	rs, err := spec.Spec{Rule: ruleName, Engine: engName, Graph: graphName, N: n, K: k, Bias: bias}.Resolve()
+	if err != nil {
+		return err
 	}
-	init := colorcfg.Biased(n, k, bias)
 
 	r := rng.New(seed)
-
-	// The undecided-state protocol and the keep-own rules are stateful and
-	// have dedicated engines; -engine and the graph flags cannot apply.
-	var eng engine.Engine
-	if ruleName == "undecided" || ruleName == "2choices-keepown" {
-		if engName != "auto" {
-			return fmt.Errorf("rule %q carries its own engine; drop -engine %s", ruleName, engName)
-		}
-		if err := graphFlagsUnused(graphName, graphMode, graphFile); err != nil {
-			return err
-		}
-		if ruleName == "undecided" {
-			eng = engine.NewUndecidedExact(init)
-		} else {
-			eng = engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, init)
-		}
-	} else {
-		rule, err := dynamics.ParseRule(ruleName)
+	var g topo.NeighborSource
+	engSeed := seed ^ 0xdead
+	if rs.Engine == "graph" {
+		// The backend mode picks the representation (implicit / in-RAM
+		// CSR / mmap); every mode yields the same seeded run.
+		mode, err := topo.ParseMode(graphMode)
 		if err != nil {
 			return err
 		}
-		eng, err = buildEngine(engName, graphName, graphMode, graphFile, rule, init, workers, seed, r)
-		if err != nil {
+		if mode == topo.ModeMmap && graphFile == "" {
+			return errors.New("-graph-mode mmap needs -graph-file")
+		}
+		if g, err = rs.BuildSource(r, topo.BuildOpts{Mode: mode, Path: graphFile}); err != nil {
 			return err
 		}
+		engSeed = seed ^ 0xbeef
+	} else if graphName != "complete" || graphMode != "auto" || graphFile != "" {
+		return errors.New("-graph, -graph-mode and -graph-file apply only to -engine graph")
 	}
+	eng := rs.NewEngine(g, workers, engSeed, r)
 
 	adv, err := parseAdversary(advName)
 	if err != nil {
@@ -171,68 +167,6 @@ func run(ruleName, engName, graphName, graphMode, graphFile string, n int64, k i
 			sum.Rounds, sum.Retained, traceFile, sum.NsPerAgent)
 	}
 	return nil
-}
-
-func parseBias(s string, n int64, k int) (int64, error) {
-	if s == "auto" {
-		return core.Corollary1Bias(n, k, 1.0), nil
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad -bias %q: %v", s, err)
-	}
-	return v, nil
-}
-
-// graphFlagsUnused rejects a non-default -graph, -graph-mode or -graph-file
-// on a run whose engine is not the graph engine, which would ignore them.
-func graphFlagsUnused(graphName, graphMode, graphFile string) error {
-	if graphName != "complete" || graphMode != "auto" || graphFile != "" {
-		return errors.New("-graph, -graph-mode and -graph-file apply only to -engine graph")
-	}
-	return nil
-}
-
-func buildEngine(engName, graphName, graphMode, graphFile string, rule dynamics.Rule,
-	init colorcfg.Config, workers int, seed uint64, r *rng.Rand) (engine.Engine, error) {
-	if engName == "auto" {
-		if _, ok := rule.(dynamics.ProbModel); ok {
-			engName = "multinomial"
-		} else {
-			engName = "sampled"
-		}
-	}
-	if engName != "graph" {
-		if err := graphFlagsUnused(graphName, graphMode, graphFile); err != nil {
-			return nil, err
-		}
-	}
-	switch engName {
-	case "multinomial":
-		return engine.NewCliqueMultinomial(rule, init), nil
-	case "sampled":
-		return engine.NewCliqueSampled(rule, init, workers, seed^0xdead), nil
-	case "population":
-		return engine.NewPopulation(rule, init), nil
-	case "graph":
-		// Topology specs resolve through the internal/topo registry —
-		// the same names sweep, the service, and validate accept. The
-		// backend mode picks the representation (implicit / in-RAM CSR /
-		// mmap); every mode yields the same seeded run.
-		mode, err := topo.ParseMode(graphMode)
-		if err != nil {
-			return nil, err
-		}
-		if mode == topo.ModeMmap && graphFile == "" {
-			return nil, fmt.Errorf("-graph-mode mmap needs -graph-file")
-		}
-		g, err := topo.BuildSource(graphName, init.N(), r, topo.BuildOpts{Mode: mode, Path: graphFile})
-		if err != nil {
-			return nil, err
-		}
-		return engine.NewGraphEngine(rule, g, init, workers, seed^0xbeef, r), nil
-	}
-	return nil, fmt.Errorf("unknown engine %q", engName)
 }
 
 func parseAdversary(s string) (adversary.Adversary, error) {

@@ -6,10 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"plurality/internal/colorcfg"
 	"plurality/internal/dynamics"
 	"plurality/internal/obs"
-	"plurality/internal/rng"
 )
 
 // TestParseRule pins the -rule names the CLI accepts.
@@ -39,23 +37,29 @@ func TestParseRule(t *testing.T) {
 	}
 }
 
+// TestParseBias pins the -bias forms: an integer, "auto", and nothing
+// else.
 func TestParseBias(t *testing.T) {
-	if v, err := parseBias("123", 1000, 4); err != nil || v != 123 {
-		t.Errorf("explicit bias: %v %v", v, err)
+	for _, bias := range []string{"123", "auto"} {
+		if err := run("3majority", "auto", "complete", "auto", "", 1000, 4, bias, 1, 10,
+			"none", 1, false, "", -1); err != nil {
+			t.Errorf("-bias %s: %v", bias, err)
+		}
 	}
-	if v, err := parseBias("auto", 100000, 4); err != nil || v <= 0 {
-		t.Errorf("auto bias: %v %v", v, err)
-	}
-	if _, err := parseBias("abc", 100, 2); err == nil {
-		t.Error("bad bias accepted")
+	if err := run("3majority", "auto", "complete", "auto", "", 100, 2, "abc", 1, 10,
+		"none", 1, false, "", -1); err == nil || !strings.Contains(err.Error(), "bad bias") {
+		t.Errorf("-bias abc: %v, want bad bias", err)
 	}
 }
 
+// TestBuildEngineGraphSpecs: -graph resolves through the topo registry,
+// so every family is reachable from this CLI by name, bad specs error
+// out, and every backend mode runs.
 func TestBuildEngineGraphSpecs(t *testing.T) {
-	// -graph resolves through the topo registry: every family is
-	// reachable from this CLI by name, and bad specs error out.
-	r := rng.New(1)
-	init := colorcfg.Biased(100, 3, 20)
+	graphRun := func(graph, mode, file string, n int64) error {
+		return run("3majority", "graph", graph, mode, file, n, 3, "20", 5, 10,
+			"none", 1, false, "", -1)
+	}
 	for _, spec := range []string{
 		"complete", "cycle", "star", "torus", "hypercube",
 		"regular:4", "gnp:0.3", "smallworld:4:0.1", "ba:3",
@@ -65,51 +69,38 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 		if spec == "hypercube" {
 			n = 128
 		}
-		e, err := buildEngine("graph", spec, "auto", "", dynamics.ThreeMajority{},
-			colorcfg.Biased(n, 3, 20), 1, 5, r)
-		if err != nil {
-			t.Errorf("buildEngine(graph, %q): %v", spec, err)
-			continue
+		if err := graphRun(spec, "auto", "", n); err != nil {
+			t.Errorf("-graph %s: %v", spec, err)
 		}
-		if e.N() != n {
-			t.Errorf("%q: engine n = %d, want %d", spec, e.N(), n)
-		}
-		e.Close()
 	}
 	for _, bad := range []string{"nope", "regular:x", "gnp:y", "torus:0"} {
-		if _, err := buildEngine("graph", bad, "auto", "", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
-			t.Errorf("buildEngine(graph, %q) should fail", bad)
+		if err := graphRun(bad, "auto", "", 100); err == nil {
+			t.Errorf("-graph %s should fail", bad)
 		}
 	}
-	if _, err := buildEngine("graph", "torus", "auto", "", dynamics.ThreeMajority{},
-		colorcfg.Biased(101, 3, 20), 1, 5, r); err == nil {
+	if err := graphRun("torus", "auto", "", 101); err == nil {
 		t.Error("non-square torus accepted")
 	}
 
 	// Backend modes: implicit needs no file, mmap builds one and reuses it,
 	// and mmap without a path is rejected up front.
 	for _, mode := range []string{"implicit", "csr"} {
-		e, err := buildEngine("graph", "torus", mode, "", dynamics.ThreeMajority{}, init, 1, 5, r)
-		if err != nil {
+		if err := graphRun("torus", mode, "", 100); err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
-		e.Close()
 	}
 	path := filepath.Join(t.TempDir(), "t.csr")
 	for i := 0; i < 2; i++ { // second pass exercises cache reuse
-		e, err := buildEngine("graph", "torus", "mmap", path, dynamics.ThreeMajority{}, init, 1, 5, r)
-		if err != nil {
+		if err := graphRun("torus", "mmap", path, 100); err != nil {
 			t.Fatalf("mmap pass %d: %v", i, err)
 		}
-		e.Close()
 	}
-	if _, err := buildEngine("graph", "torus", "mmap", "", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
+	if err := graphRun("torus", "mmap", "", 100); err == nil {
 		t.Error("mmap without -graph-file accepted")
 	}
-	if _, err := buildEngine("graph", "torus", "nope", "", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
+	if err := graphRun("torus", "nope", "", 100); err == nil {
 		t.Error("unknown graph mode accepted")
 	}
-
 }
 
 // TestRejectsIgnoredFlags: a flag the resolved engine cannot honour is an
@@ -187,27 +178,36 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadInput: out-of-range sizes and biases fail with an
-// error from run instead of a panic in the configuration builder.
+// TestRunRejectsBadInput: out-of-range sizes, biases and round budgets,
+// and a rule × engine pair without a closed form, fail with an error from
+// run instead of a panic in the configuration or engine builder, or a
+// silent fallback to another budget.
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		n    int64
-		k    int
-		bias string
+		name      string
+		rule, eng string
+		n         int64
+		k         int
+		bias      string
+		maxRounds int
 	}{
-		{"zero agents", 0, 3, "auto"},
-		{"negative agents", -5, 3, "10"},
-		{"zero colors", 1000, 0, "auto"},
-		{"negative colors", 1000, -2, "10"},
-		{"bias above n", 1000, 4, "5000"},
-		{"negative bias", 1000, 4, "-1"},
+		{"zero agents", "3majority", "auto", 0, 3, "auto", 10},
+		{"negative agents", "3majority", "auto", -5, 3, "10", 10},
+		{"zero colors", "3majority", "auto", 1000, 0, "auto", 10},
+		{"negative colors", "3majority", "auto", 1000, -2, "10", 10},
+		{"bias above n", "3majority", "auto", 1000, 4, "5000", 10},
+		{"negative bias", "3majority", "auto", 1000, 4, "-1", 10},
+		{"zero max-rounds", "3majority", "auto", 1000, 4, "auto", 0},
+		{"negative max-rounds", "3majority", "auto", 1000, 4, "auto", -5},
+		{"h-plurality on multinomial", "hplurality:5", "multinomial", 1000, 4, "auto", 10},
+		{"h-plurality:3 on multinomial", "hplurality:3", "multinomial", 1000, 4, "auto", 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run("3majority", "auto", "complete", "auto", "", tc.n, tc.k, tc.bias, 1, 10,
+			err := run(tc.rule, tc.eng, "complete", "auto", "", tc.n, tc.k, tc.bias, 1, tc.maxRounds,
 				"none", 1, false, "", -1)
 			if err == nil {
-				t.Fatalf("n=%d k=%d bias=%s accepted", tc.n, tc.k, tc.bias)
+				t.Fatalf("rule=%s engine=%s n=%d k=%d bias=%s max-rounds=%d accepted",
+					tc.rule, tc.eng, tc.n, tc.k, tc.bias, tc.maxRounds)
 			}
 		})
 	}

@@ -37,15 +37,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
-	"plurality/internal/colorcfg"
 	"plurality/internal/core"
-	"plurality/internal/dynamics"
-	"plurality/internal/engine"
 	"plurality/internal/mc"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
+	"plurality/internal/spec"
 	"plurality/internal/topo"
 )
 
@@ -73,7 +70,7 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.rules, "rules", "3majority", "comma-separated rules: 3majority | 3majority-utie | median | polling | 2choices | hplurality:H")
+	flag.StringVar(&cfg.rules, "rules", "3majority", "comma-separated rules: 3majority | 3majority-utie | median | polling | 2choices | hplurality:H | undecided | 2choices-keepown (the last two on complete only)")
 	flag.StringVar(&cfg.graphs, "graphs", "complete",
 		"comma-separated topology specs ("+strings.Join(topo.FamilyUsages(), " | ")+")")
 	flag.StringVar(&cfg.graphMode, "graph-mode", "auto", "topology backend: auto | implicit | csr | mmap (mmap caches built graphs under -graph-dir, keyed by spec, n, and graph seed)")
@@ -178,7 +175,8 @@ func sweep(ctx context.Context, cfg config, w io.Writer, done map[string]map[int
 		return err
 	}
 	// Out-of-range values would fail or panic inside the pool, after the
-	// CSV header went out; reject them before any output.
+	// CSV header went out, or silently run another budget; reject them
+	// before any output.
 	if cfg.reps < 1 {
 		return fmt.Errorf("-reps %d: need at least one replicate", cfg.reps)
 	}
@@ -192,15 +190,10 @@ func sweep(ctx context.Context, cfg config, w io.Writer, done map[string]map[int
 			return fmt.Errorf("-cs %g: bias multiplier must be >= 0", c)
 		}
 	}
-
-	rules := make([]dynamics.Rule, 0, len(ruleNames))
-	for _, ruleName := range ruleNames {
-		rule, err := dynamics.ParseRule(strings.TrimSpace(ruleName))
-		if err != nil {
-			return err
-		}
-		rules = append(rules, rule)
+	if cfg.maxRounds < 1 {
+		return fmt.Errorf("-max-rounds %d: need at least one round", cfg.maxRounds)
 	}
+
 	// Canonicalize every (graph, n) pair up front through the topo
 	// registry: a bad spec fails the whole grid before any simulation.
 	graphNames := strings.Split(cfg.graphs, ",")
@@ -217,13 +210,27 @@ func sweep(ctx context.Context, cfg config, w io.Writer, done map[string]map[int
 		}
 		graphs = append(graphs, canon)
 	}
-	cells := make([]string, 0, len(rules)*len(graphs)*len(nVals)*len(kVals)*len(cVals))
-	for _, rule := range rules {
+	// Resolve every cell up front too: "complete" runs the clique
+	// engines, every other family the graph engine, and a rule that
+	// carries its own engine (undecided, 2choices-keepown) is refused off
+	// the clique before any output.
+	cells := make([]cell, 0, len(ruleNames)*len(graphs)*len(nVals)*len(kVals)*len(cVals))
+	for _, ruleName := range ruleNames {
+		ruleName = strings.TrimSpace(ruleName)
 		for _, g := range graphs {
+			eng := "graph"
+			if g == "complete" {
+				eng = "auto"
+			}
 			for _, n := range nVals {
 				for _, k := range kVals {
 					for _, c := range cVals {
-						cells = append(cells, cellName(rule.Name(), g, n, int(k), c))
+						rs, err := spec.Spec{Rule: ruleName, Engine: eng, Graph: g,
+							N: n, K: int(k), Bias: core.Corollary1Bias(n, int(k), c)}.Resolve()
+						if err != nil {
+							return fmt.Errorf("-rules %s on -graphs %s (engine %s): %w", ruleName, g, eng, err)
+						}
+						cells = append(cells, cell{Resolved: rs, c: c, name: cellName(rs.RuleName(), g, n, int(k), c)})
 					}
 				}
 			}
@@ -241,20 +248,20 @@ func sweep(ctx context.Context, cfg config, w io.Writer, done map[string]map[int
 			return err
 		}
 	}
-	for _, rule := range rules {
-		for _, g := range graphs {
-			for _, n := range nVals {
-				for _, k := range kVals {
-					for _, c := range cVals {
-						if err := runCell(ctx, cfg, pool, w, done, rule, g, n, int(k), c); err != nil {
-							return err
-						}
-					}
-				}
-			}
+	for _, cl := range cells {
+		if err := runCell(ctx, cfg, pool, w, done, cl); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// cell is one resolved grid point: the run spec, its bias multiplier
+// and its cell name.
+type cell struct {
+	spec.Resolved
+	c    float64
+	name string
 }
 
 // checkResumeJobs rejects a resume file that is not a record prefix of
@@ -263,13 +270,13 @@ func sweep(ctx context.Context, cfg config, w io.Writer, done map[string]map[int
 // replicate indices. Appending to such a file would mix stale or
 // misordered records into the output, breaking the
 // byte-identical-to-uninterrupted guarantee.
-func checkResumeJobs(done map[string]map[int]mc.Record, cells []string, reps int) error {
+func checkResumeJobs(done map[string]map[int]mc.Record, cells []cell, reps int) error {
 	if len(done) == 0 {
 		return nil
 	}
 	inGrid := map[string]bool{}
-	for _, cell := range cells {
-		inGrid[cell] = true
+	for _, cl := range cells {
+		inGrid[cl.name] = true
 	}
 	for job := range done {
 		if !inGrid[job] {
@@ -281,7 +288,8 @@ func checkResumeJobs(done map[string]map[int]mc.Record, cells []string, reps int
 	// run of leading cells, at most one partial cell with replicates
 	// 0..m-1, and nothing after it.
 	partialSeen := false
-	for _, cell := range cells {
+	for _, cl := range cells {
+		cell := cl.name
 		byRep := done[cell]
 		if len(byRep) == 0 {
 			partialSeen = true
@@ -305,18 +313,15 @@ func checkResumeJobs(done map[string]map[int]mc.Record, cells []string, reps int
 	return nil
 }
 
-// runCell executes one grid cell as an mc.Job and writes its output. For
-// gname != "complete" the cell runs the CSR-sharded graph engine on one
-// quenched topology: built lazily from the cell's derived graph seed and
-// shared read-only across all replicates.
+// runCell executes one grid cell as an mc.Job and writes its output. On
+// the graph engine the cell runs on one quenched topology: built lazily
+// from the cell's derived graph seed and shared read-only across all
+// replicates.
 func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
-	done map[string]map[int]mc.Record, rule dynamics.Rule, gname string, n int64, k int, c float64) error {
-	s := core.Corollary1Bias(n, k, c)
-	name := cellName(rule.Name(), gname, n, k, c)
-	_, isProb := rule.(dynamics.ProbModel)
-	onClique := gname == "complete"
-	var built topo.NeighborSource // set once sharedGraph runs
-	sharedGraph := sync.OnceValue(func() topo.NeighborSource {
+	done map[string]map[int]mc.Record, cl cell) error {
+	name := cl.name
+	var built topo.NeighborSource // set once the graph is built
+	graph := func() (topo.NeighborSource, error) {
 		// The graph seed is a pure function of (base seed, cell name), so
 		// in mmap mode the cache file name is too: re-running the same
 		// sweep reuses the on-disk graph instead of rebuilding it.
@@ -324,61 +329,23 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 		gseed := cellSeed(cfg.seed, "graph/"+name)
 		opts := topo.BuildOpts{Mode: mode}
 		if mode == topo.ModeMmap {
-			opts.Path = filepath.Join(cfg.graphDir, topo.CacheFileName(gname, n, gseed))
+			opts.Path = filepath.Join(cfg.graphDir, topo.CacheFileName(cl.Graph, cl.N, gseed))
 		}
-		g, err := topo.BuildSource(gname, n, rng.New(gseed), opts)
-		if err != nil {
-			panic(fmt.Sprintf("sweep: graph revalidation failed for %q: %v", gname, err))
-		}
+		g, err := cl.BuildSource(rng.New(gseed), opts)
 		built = g
-		return g
-	})
+		return g, err
+	}
 	var ct *cellTracer
+	var obsFor func(uint64) obs.Observer
 	if cfg.traceDir != "" {
-		engLabel := "graph"
-		switch {
-		case onClique && isProb:
-			engLabel = "multinomial"
-		case onClique:
-			engLabel = "sampled"
-		}
 		f, err := os.Create(filepath.Join(cfg.traceDir, traceFileName(name)))
 		if err != nil {
 			return err
 		}
-		ct = &cellTracer{f: f, engine: engLabel, rule: rule.Name(), n: n, k: k}
+		ct = &cellTracer{f: f, cell: cl}
+		obsFor = func(seed uint64) obs.Observer { return ct.tracer.Recorder(seed) }
 	}
-	job := mc.Job{
-		Name:       name,
-		Seed:       cellSeed(cfg.seed, name),
-		Replicates: cfg.reps,
-		MaxRounds:  cfg.maxRounds,
-	}
-	job.New = func(seed uint64) mc.Run {
-		maxRounds := job.MaxRounds // the Job carries the round budget
-		return func() mc.Record {
-			r := rng.New(seed)
-			init := colorcfg.Biased(n, k, s)
-			var e engine.Engine
-			switch {
-			case onClique && isProb:
-				e = engine.NewCliqueMultinomial(rule, init)
-			case onClique:
-				// Replicates already saturate the cores; keep the
-				// agent-level engine single-worker per replicate.
-				e = engine.NewCliqueSampled(rule, init, 1, r.Uint64())
-			default:
-				e = engine.NewGraphEngine(rule, sharedGraph(), init, 1, r.Uint64(), r)
-			}
-			defer e.Close()
-			opts := core.Options{MaxRounds: maxRounds, Rand: r}
-			if ct != nil {
-				opts.Observer = ct.tracer.Recorder(seed)
-			}
-			res := core.Run(e, opts)
-			return mc.Record{Rounds: res.Rounds, Success: res.WonInitialPlurality}
-		}
-	}
+	job := cl.Job(name, cellSeed(cfg.seed, name), cfg.reps, cfg.maxRounds, graph, obsFor)
 	var sink func(mc.Record) error
 	if cfg.format == "jsonl" {
 		sink = func(rec mc.Record) error { return mc.AppendRecord(w, rec) }
@@ -411,7 +378,7 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 		sum := agg.Rounds()
 		lo, hi := agg.Wilson(1.96)
 		if _, err := fmt.Fprintf(w, "%s,%s,%d,%d,%g,%d,%d,%.2f,%.2f,%.3f,%.3f,%.3f\n",
-			rule.Name(), gname, n, k, c, s, agg.N, sum.Mean, sum.Std,
+			cl.RuleName(), cl.Graph, cl.N, cl.K, cl.c, cl.Bias, agg.N, sum.Mean, sum.Std,
 			agg.SuccessRate(), lo, hi); err != nil {
 			return err
 		}
@@ -431,10 +398,7 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 type cellTracer struct {
 	tracer obs.Tracer
 	f      *os.File
-	engine string
-	rule   string
-	n      int64
-	k      int
+	cell   cell
 	err    error // first WriteTrace failure; latches, surfaced after the cell
 }
 
@@ -447,7 +411,7 @@ func (ct *cellTracer) flush(rec mc.Record, done, total int) {
 		return
 	}
 	ct.err = r.WriteTrace(ct.f, obs.Header{
-		Engine: ct.engine, Rule: ct.rule, N: ct.n, K: ct.k,
+		Engine: ct.cell.Engine, Rule: ct.cell.RuleName(), N: ct.cell.N, K: ct.cell.K,
 		Seed: rec.Seed, Job: rec.Job, Rep: rec.Rep,
 	})
 }

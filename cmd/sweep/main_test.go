@@ -16,6 +16,7 @@ import (
 	"plurality/internal/dynamics"
 	"plurality/internal/mc"
 	"plurality/internal/obs"
+	"plurality/internal/service"
 )
 
 // testCfg is a grid small enough for unit tests that still exercises both
@@ -331,9 +332,9 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 // TestSweepRejectsOutOfRangeGrid: colour counts below 1, negative or NaN
-// bias multipliers and a replicate count below 1 fail before the sweep
-// writes anything, instead of panicking in a pool worker after the CSV
-// header.
+// bias multipliers, a replicate count below 1 and a round budget below 1
+// fail before the sweep writes anything, instead of panicking in a pool
+// worker after the CSV header.
 func TestSweepRejectsOutOfRangeGrid(t *testing.T) {
 	for name, mutate := range map[string]func(*config){
 		"ks 0":    func(c *config) { c.ks = "2,0" },
@@ -342,6 +343,9 @@ func TestSweepRejectsOutOfRangeGrid(t *testing.T) {
 		"cs NaN":  func(c *config) { c.cs = "NaN" },
 		"reps 0":  func(c *config) { c.reps = 0 },
 		"reps -2": func(c *config) { c.reps = -2 },
+		// A non-positive budget used to run with core.DefaultMaxRounds.
+		"max-rounds 0":  func(c *config) { c.maxRounds = 0 },
+		"max-rounds -5": func(c *config) { c.maxRounds = -5 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := testCfg()
@@ -496,6 +500,106 @@ func TestSweepMmapUnmapsGraphs(t *testing.T) {
 	for _, line := range strings.Split(string(maps), "\n") {
 		if strings.Contains(line, cfg.graphDir+string(filepath.Separator)) {
 			t.Errorf("graph file still mapped after the sweep: %s", line)
+		}
+	}
+}
+
+// TestSweepStatefulRules: the rules that carry their own engine
+// (undecided, 2choices-keepown) run on the complete graph, deterministic
+// across workers, and are refused on any other graph before the CSV
+// header.
+func TestSweepStatefulRules(t *testing.T) {
+	cfg := testCfg()
+	cfg.rules = "undecided,2choices-keepown"
+	out := runSweep(t, cfg, nil)
+	rows, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatalf("unparseable CSV: %v", err)
+	}
+	if len(rows)-1 != 4 {
+		t.Fatalf("got %d data rows, want 2 rules × 2 k", len(rows)-1)
+	}
+	for i, want := range []string{"undecided", "undecided", "2choices-keepown", "2choices-keepown"} {
+		if got := rows[i+1][0]; got != want {
+			t.Errorf("row %d rule column = %q, want %q", i, got, want)
+		}
+		if rate := rows[i+1][9]; rate != "1.000" {
+			t.Errorf("row %d (%s) success rate %s, want 1.000 above the bias threshold", i, want, rate)
+		}
+	}
+	cfg.workers = 1
+	if runSweep(t, cfg, nil) != out {
+		t.Fatal("stateful-rule output depends on -workers")
+	}
+
+	cfg.graphs = "complete,regular:4"
+	var buf bytes.Buffer
+	if err := sweep(context.Background(), cfg, &buf, nil); err == nil ||
+		!strings.Contains(err.Error(), "carries its own engine") {
+		t.Fatalf("undecided on regular:4 = %v, want carries its own engine", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("wrote %q before rejecting the grid", buf.String())
+	}
+}
+
+// TestSweepAgreesWithService is the cross-surface agreement check: a
+// pluralityd job built from a sweep cell — the cell's job seed and graph
+// seed, bias "auto" at c=1, engine auto on the clique and graph
+// elsewhere — yields the same replicate records as the sweep's -format
+// jsonl output. Only the job names differ: each surface keeps its own
+// run identity.
+func TestSweepAgreesWithService(t *testing.T) {
+	const n, k, reps, seed, maxRounds = 400, 3, 4, 11, 20_000
+	sparse := []string{"3majority", "3majority-utie", "2choices"}
+	grid := []struct {
+		graph string
+		rules []string
+	}{
+		{"complete", []string{"3majority", "hplurality:5", "median"}},
+		{"regular:4", sparse},
+		{"torus", sparse},
+		{"gnp:0.05", sparse},
+	}
+	pool := mc.NewPool(2)
+	defer pool.Close()
+	for _, cell := range grid {
+		graph := cell.graph
+		for _, rule := range cell.rules {
+			t.Run(rule+"/"+graph, func(t *testing.T) {
+				cfg := testCfg()
+				cfg.rules, cfg.graphs = rule, graph
+				cfg.ns, cfg.ks, cfg.cs = strconv.Itoa(n), strconv.Itoa(k), "1"
+				cfg.reps, cfg.seed, cfg.maxRounds = reps, seed, maxRounds
+				cfg.format = "jsonl"
+				want, err := mc.ReadRecords(strings.NewReader(runSweep(t, cfg, nil)))
+				if err != nil || len(want) != reps {
+					t.Fatalf("sweep records: %d, %v", len(want), err)
+				}
+				name := want[0].Job
+				js := service.JobSpec{
+					Rule: rule, Engine: "graph", Graph: graph, N: n, K: k, Bias: "auto",
+					Replicates: reps, MaxRounds: maxRounds,
+					Seed: cellSeed(seed, name), GraphSeed: cellSeed(seed, "graph/"+name),
+				}
+				if graph == "complete" {
+					js.Engine = "auto"
+				}
+				js.Normalize()
+				if err := js.Validate(); err != nil {
+					t.Fatalf("service rejects the cell's spec: %v", err)
+				}
+				got, err := pool.Run(context.Background(), js.MCJob(), mc.RunOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					w, g := want[i], got[i]
+					if w.Rep != g.Rep || w.Seed != g.Seed || w.Rounds != g.Rounds || w.Success != g.Success {
+						t.Errorf("rep %d: sweep %+v, service %+v", i, w, g)
+					}
+				}
+			})
 		}
 	}
 }

@@ -4,16 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
-	"sync"
 
-	"plurality/internal/colorcfg"
-	"plurality/internal/core"
-	"plurality/internal/dynamics"
-	"plurality/internal/engine"
 	"plurality/internal/mc"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
+	"plurality/internal/spec"
 	"plurality/internal/topo"
 )
 
@@ -145,46 +140,24 @@ func (s *JobSpec) Normalize() {
 // "default" (match it with errors.Is).
 var ErrUnsupportedSampler = errors.New("unsupported sampler")
 
-// statefulEngines maps the rules that carry their own engine and accept
-// only Engine == "auto".
-var statefulEngines = map[string]bool{"undecided": true, "2choices-keepown": true}
-
-// resolveEngine maps Engine == "auto" to the concrete engine for the rule
-// and checks rule/engine compatibility.
-func (s *JobSpec) resolveEngine() (string, error) {
-	if statefulEngines[s.Rule] {
-		if s.Engine != "auto" {
-			return "", fmt.Errorf("rule %q carries its own engine; use engine \"auto\"", s.Rule)
-		}
-		return s.Rule, nil
-	}
-	rule, err := dynamics.ParseRule(s.Rule)
-	if err != nil {
-		return "", err
-	}
-	_, isProb := rule.(dynamics.ProbModel)
-	eng := s.Engine
-	if eng == "auto" {
-		if isProb {
-			eng = "multinomial"
-		} else {
-			eng = "sampled"
+// resolve runs the spec through spec.Resolve, the rule × engine table
+// every surface shares. For the graph engine the service's n cap comes
+// first: it bounds every number the registry's constant-time validation
+// arithmetic sees, so a hostile spec can neither overflow nor spin. A
+// registry size-cap rejection (topo.ErrTooLarge) gets a remediation hint
+// appended — the client asked for something well-formed that simply does
+// not fit in RAM. Bias is left zero; mcJob fills it in.
+func (s *JobSpec) resolve() (spec.Resolved, error) {
+	if s.Engine == "graph" {
+		if maxN := s.graphMaxN(); s.N < 1 || s.N > maxN {
+			return spec.Resolved{}, fmt.Errorf("graph engine needs n in [1, %d] for family %q, got %d", maxN, s.Graph, s.N)
 		}
 	}
-	switch eng {
-	case "multinomial":
-		if !isProb {
-			return "", fmt.Errorf("rule %q has no closed-form adoption probabilities; use engine \"sampled\"", s.Rule)
-		}
-	case "sampled", "population":
-	case "graph":
-		if err := s.checkGraph(); err != nil {
-			return "", err
-		}
-	default:
-		return "", fmt.Errorf("unknown engine %q", s.Engine)
+	rs, err := spec.Spec{Rule: s.Rule, Engine: s.Engine, Graph: s.Graph, N: s.N, K: s.K}.Resolve()
+	if errors.Is(err, topo.ErrTooLarge) {
+		err = fmt.Errorf("%w (hint: use an implicit family — complete, cycle, star, torus, hypercube — which materializes nothing, or build the graph to disk and run it with mmap mode via cmd/plurality -graph-mode mmap)", err)
 	}
-	return eng, nil
+	return rs, err
 }
 
 // graphMaxN is the n cap for the spec's graph family: implicit families
@@ -195,45 +168,6 @@ func (s *JobSpec) graphMaxN() int64 {
 		return MaxNGraphImplicit
 	}
 	return MaxNGraph
-}
-
-// checkGraph validates the Graph field through the topo registry so a bad
-// topology is a 400, not a crash. The n cap comes first: it bounds every
-// number the registry's constant-time validation arithmetic sees, so a
-// hostile spec can neither overflow nor spin. A registry size-cap
-// rejection (topo.ErrTooLarge) gets a remediation hint appended — the
-// client asked for something well-formed that simply does not fit in RAM.
-func (s *JobSpec) checkGraph() error {
-	if maxN := s.graphMaxN(); s.N < 1 || s.N > maxN {
-		return fmt.Errorf("graph engine needs n in [1, %d] for family %q, got %d", maxN, s.Graph, s.N)
-	}
-	if err := topo.Validate(s.Graph, s.N); err != nil {
-		if errors.Is(err, topo.ErrTooLarge) {
-			return fmt.Errorf("%w (hint: use an implicit family — complete, cycle, star, torus, hypercube — which materializes nothing, or build the graph to disk and run it with mmap mode via cmd/plurality -graph-mode mmap)", err)
-		}
-		return err
-	}
-	return nil
-}
-
-// biasValue parses the Bias field; "auto" resolves to the Corollary 1
-// threshold clamped to n (tiny populations can sit below the threshold).
-func (s *JobSpec) biasValue() (int64, error) {
-	if s.Bias == "auto" {
-		b := core.Corollary1Bias(s.N, s.K, 1.0)
-		if b > s.N {
-			b = s.N
-		}
-		return b, nil
-	}
-	v, err := strconv.ParseInt(s.Bias, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad bias %q (want \"auto\" or an integer)", s.Bias)
-	}
-	if v < 0 || v > s.N {
-		return 0, fmt.Errorf("bias %d outside [0, n=%d]", v, s.N)
-	}
-	return v, nil
 }
 
 // Validate checks the (normalized) spec against the engine and graph
@@ -254,26 +188,26 @@ func (s *JobSpec) Validate() error {
 		errs = append(errs, fmt.Errorf("max_rounds must be in [1, %d], got %d", MaxMaxRounds, s.MaxRounds))
 	}
 	if s.N >= 1 {
-		if _, err := s.biasValue(); err != nil {
+		if _, err := spec.ParseBias(s.Bias, s.N, s.K); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	if s.Sampler != "default" {
 		errs = append(errs, fmt.Errorf("%w %q (only \"default\" remains)", ErrUnsupportedSampler, s.Sampler))
 	}
-	eng, err := s.resolveEngine()
+	rs, err := s.resolve()
 	if err != nil {
 		errs = append(errs, err)
 	} else if s.N >= 1 {
 		maxN := int64(MaxNExact)
-		switch eng {
+		switch rs.Engine {
 		case "sampled", "population":
 			maxN = MaxNSampled
 		case "graph":
 			maxN = s.graphMaxN()
 		}
 		if s.N > maxN {
-			errs = append(errs, fmt.Errorf("n = %d exceeds the %s-engine cap %d", s.N, eng, maxN))
+			errs = append(errs, fmt.Errorf("n = %d exceeds the %s-engine cap %d", s.N, rs.Engine, maxN))
 		}
 	}
 	if s.K >= 2 && s.N >= 1 && int64(s.K) > s.N {
@@ -286,9 +220,9 @@ func (s *JobSpec) Validate() error {
 // covers every spec field that influences the records, so two JSONL
 // streams with equal names are byte-identical.
 func (s *JobSpec) Name() string {
-	eng, err := s.resolveEngine()
-	if err != nil {
-		eng = "invalid"
+	eng := "invalid"
+	if rs, err := s.resolve(); err == nil {
+		eng = rs.Engine
 	}
 	name := fmt.Sprintf("%s/%s/n=%d/k=%d/bias=%s/rounds=%d/seed=%d",
 		s.Rule, eng, s.N, s.K, s.Bias, s.MaxRounds, s.Seed)
@@ -307,7 +241,7 @@ func (s *JobSpec) Name() string {
 // individually-capped) spec can never route onto the synchronous path.
 func (s *JobSpec) Cost() int64 {
 	perRound := int64(s.K)
-	if eng, err := s.resolveEngine(); err == nil && (eng == "sampled" || eng == "graph" || eng == "population") {
+	if rs, err := s.resolve(); err == nil && (rs.Engine == "sampled" || rs.Engine == "graph" || rs.Engine == "population") {
 		perRound = s.N
 	}
 	cost := float64(s.Replicates) * float64(s.MaxRounds) * float64(perRound)
@@ -315,52 +249,6 @@ func (s *JobSpec) Cost() int64 {
 		return math.MaxInt64
 	}
 	return int64(cost)
-}
-
-// buildEngine constructs the replicate's engine. The spec must have
-// passed Validate; r is the replicate's private generator (graph layout
-// and engine seeds draw from it, keeping the replicate a pure function of
-// its seed), and g is the job's shared quenched topology (nil for
-// non-graph engines).
-func (s *JobSpec) buildEngine(init colorcfg.Config, g topo.NeighborSource, r *rng.Rand) engine.Engine {
-	if s.Rule == "undecided" {
-		return engine.NewUndecidedExact(init)
-	}
-	if s.Rule == "2choices-keepown" {
-		return engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, init)
-	}
-	rule, err := dynamics.ParseRule(s.Rule)
-	if err != nil {
-		panic(fmt.Sprintf("service: buildEngine on unvalidated spec: %v", err))
-	}
-	eng, err := s.resolveEngine()
-	if err != nil {
-		panic(fmt.Sprintf("service: buildEngine on unvalidated spec: %v", err))
-	}
-	switch eng {
-	case "multinomial":
-		return engine.NewCliqueMultinomial(rule, init)
-	case "sampled":
-		// Replicates already fan out across the pool; keep the agent-level
-		// engine single-worker per replicate (matches cmd/sweep).
-		return engine.NewCliqueSampled(rule, init, 1, r.Uint64())
-	case "population":
-		return engine.NewPopulation(rule, init)
-	case "graph":
-		return engine.NewGraphEngine(rule, g, init, 1, r.Uint64(), r)
-	}
-	panic(fmt.Sprintf("service: unreachable engine %q", eng))
-}
-
-// mustGraph builds the validated topology from GraphSeed. CSR structures
-// are read-only during stepping, so one instance is safely shared by all
-// concurrently running replicates of a job.
-func (s *JobSpec) mustGraph() topo.NeighborSource {
-	g, err := topo.BuildSource(s.Graph, s.N, rng.New(s.GraphSeed), topo.BuildOpts{})
-	if err != nil {
-		panic(fmt.Sprintf("service: mustGraph on unvalidated spec: %v", err))
-	}
-	return g
 }
 
 // MCJob compiles the spec into the mc.Job executed on the worker pool.
@@ -379,43 +267,18 @@ func (s *JobSpec) MCJobTraced(obsFor func(seed uint64) obs.Observer) mc.Job {
 }
 
 func (s *JobSpec) mcJob(obsFor func(seed uint64) obs.Observer) mc.Job {
-	spec := *s // detach from the caller's copy
-	bias, err := spec.biasValue()
+	rs, err := s.resolve()
+	if err == nil {
+		rs.Bias, err = spec.ParseBias(s.Bias, s.N, s.K)
+	}
 	if err != nil {
 		panic(fmt.Sprintf("service: MCJob on unvalidated spec: %v", err))
 	}
-	job := mc.Job{
-		Name:       spec.Name(),
-		Seed:       spec.Seed,
-		Replicates: spec.Replicates,
-		MaxRounds:  spec.MaxRounds,
+	// Every replicate shares the one quenched topology built from
+	// GraphSeed; CSR structures are read-only during stepping.
+	gseed := s.GraphSeed
+	graph := func() (topo.NeighborSource, error) {
+		return rs.BuildSource(rng.New(gseed), topo.BuildOpts{})
 	}
-	// The quenched topology is built once, lazily (on the first replicate
-	// that needs it, off the admission path), and shared by every
-	// replicate: graph generation can dominate a short job, and the
-	// structure is immutable during stepping.
-	var sharedGraph func() topo.NeighborSource
-	if eng, err := spec.resolveEngine(); err == nil && eng == "graph" {
-		sharedGraph = sync.OnceValue(spec.mustGraph)
-	}
-	job.New = func(seed uint64) mc.Run {
-		maxRounds := job.MaxRounds
-		return func() mc.Record {
-			r := rng.New(seed)
-			init := colorcfg.Biased(spec.N, spec.K, bias)
-			var g topo.NeighborSource
-			if sharedGraph != nil {
-				g = sharedGraph()
-			}
-			eng := spec.buildEngine(init, g, r)
-			defer eng.Close()
-			opts := core.Options{MaxRounds: maxRounds, Rand: r}
-			if obsFor != nil {
-				opts.Observer = obsFor(seed)
-			}
-			res := core.Run(eng, opts)
-			return mc.Record{Rounds: res.Rounds, Success: res.WonInitialPlurality}
-		}
-	}
-	return job
+	return rs.Job(s.Name(), s.Seed, s.Replicates, s.MaxRounds, graph, obsFor)
 }

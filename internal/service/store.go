@@ -69,7 +69,7 @@ type jobState struct {
 	syncPath bool
 	// met receives lifecycle gauge transitions; engLabel/ruleLabel are the
 	// resolved engine and rule this job's replicate counters are labelled
-	// with (computed once at creation — resolveEngine is pure).
+	// with (computed once at creation — resolve is pure).
 	met       *serverMetrics
 	engLabel  string
 	ruleLabel string
@@ -97,8 +97,8 @@ func newJobState(id string, spec JobSpec, cancel context.CancelFunc, met *server
 	j := &jobState{id: id, spec: spec, cancel: cancel, state: StateQueued, met: met}
 	j.cond = sync.NewCond(&j.mu)
 	j.engLabel = "invalid"
-	if eng, err := spec.resolveEngine(); err == nil {
-		j.engLabel = eng
+	if rs, err := spec.resolve(); err == nil {
+		j.engLabel = rs.Engine
 	}
 	j.ruleLabel = spec.Rule
 	met.jobTransition("", StateQueued)
