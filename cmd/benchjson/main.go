@@ -8,7 +8,9 @@
 //
 // Repeated samples of one benchmark (from -count=N) are aggregated to
 // their mean; the trailing GOMAXPROCS suffix (`-8`) is stripped so names
-// are stable across runners.
+// are stable across runners. A benchmark run at several GOMAXPROCS
+// values in one input (-cpu 1,2) keeps them apart as `Name/cpu=1` and
+// `Name/cpu=2`.
 //
 // -merge folds per-commit report files into a committed history — one
 // compact Report per line, deduplicated by commit (latest date wins)
@@ -180,8 +182,8 @@ func Merge(history string, paths []string) error {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
 // procsSuffix is the trailing -GOMAXPROCS tag appended by the testing
-// package.
-var procsSuffix = regexp.MustCompile(`-\d+$`)
+// package (which appends none at GOMAXPROCS 1).
+var procsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // Parse reads `go test -bench` output and aggregates per-benchmark
 // samples. Header lines (goos/goarch/cpu) are captured; non-benchmark
@@ -191,7 +193,9 @@ func Parse(r io.Reader) (*Report, error) {
 		ns, nsAgent, bytes, allocs float64
 		samples                    int
 	}
-	accs := map[string]*acc{}
+	type key struct{ name, procs string }
+	accs := map[key]*acc{}
+	procsSeen := map[string]map[string]bool{}
 	report := &Report{Benchmarks: map[string]Result{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -214,12 +218,20 @@ func Parse(r io.Reader) (*Report, error) {
 		if m == nil {
 			continue
 		}
+		procs := "1"
+		if pm := procsSuffix.FindStringSubmatch(m[1]); pm != nil {
+			procs = pm[1]
+		}
 		name := procsSuffix.ReplaceAllString(m[1], "")
 		name = strings.TrimPrefix(name, "Benchmark")
-		a := accs[name]
+		if procsSeen[name] == nil {
+			procsSeen[name] = map[string]bool{}
+		}
+		procsSeen[name][procs] = true
+		a := accs[key{name, procs}]
 		if a == nil {
 			a = &acc{}
-			accs[name] = a
+			accs[key{name, procs}] = a
 		}
 		fields := strings.Fields(m[2])
 		if len(fields)%2 != 0 {
@@ -253,15 +265,13 @@ func Parse(r io.Reader) (*Report, error) {
 	if len(accs) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found")
 	}
-	names := make([]string, 0, len(accs))
-	for name := range accs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		a := accs[name]
+	for k, a := range accs {
 		if a.samples == 0 {
 			continue
+		}
+		name := k.name
+		if len(procsSeen[name]) > 1 {
+			name += "/cpu=" + k.procs
 		}
 		s := float64(a.samples)
 		report.Benchmarks[name] = Result{

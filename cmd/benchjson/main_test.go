@@ -74,6 +74,29 @@ func TestParseStripsProcsSuffixOnly(t *testing.T) {
 	}
 }
 
+// TestParseKeepsCPUValuesApart covers -cpu 1,2: the testing package
+// names the GOMAXPROCS=1 run without a suffix and the other with -2, and
+// stripping both would average a serial and a parallel timing together.
+func TestParseKeepsCPUValuesApart(t *testing.T) {
+	in := "BenchmarkX 	 3	 300 ns/op\n" +
+		"BenchmarkX-2 	 3	 200 ns/op\n" +
+		"BenchmarkX 	 3	 100 ns/op\n" +
+		"BenchmarkY-2 	 3	 50 ns/op\n"
+	report, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"X/cpu=1": 200, "X/cpu=2": 200, "Y": 50}
+	if len(report.Benchmarks) != len(want) {
+		t.Fatalf("benchmarks %v, want keys of %v", report.Benchmarks, want)
+	}
+	for name, ns := range want {
+		if got, ok := report.Benchmarks[name]; !ok || got.NsPerOp != ns {
+			t.Errorf("%s: %+v (present %v), want %v ns/op", name, got, ok, ns)
+		}
+	}
+}
+
 // TestEndToEndAgainstRealBenchOutput runs one real micro-benchmark and
 // pipes it through the parser, so the format assumption can't silently
 // rot against future go versions.

@@ -334,3 +334,24 @@ func TestGeometricSkipMean(t *testing.T) {
 		t.Fatalf("mean skip %v, want ~5", mean)
 	}
 }
+
+// TestGnpTinyPBuildsNoEdges covers P so small that 1-P rounds to 1: the
+// geometric skip must saturate past the end of the row instead of
+// wrapping to a skip of 1, which would build the complete graph.
+func TestGnpTinyPBuildsNoEdges(t *testing.T) {
+	for _, spec := range []string{"gnp:1e-17", "gnp:1e-300", "sbm:2:1e-17:1e-17"} {
+		g, err := BuildSource(spec, 2000, rng.New(1), BuildOpts{})
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if e := g.(*CSR).Edges(); e != 0 {
+			t.Errorf("%s at n=2000: %d edges, want 0", spec, e)
+		}
+	}
+	r := rng.New(2)
+	for _, p := range []float64{1e-17, 1e-300, 5e-324, 2e-16} {
+		if s := geometricSkip(r, p); s < 1 || s > maxSkip {
+			t.Errorf("geometricSkip(%v) = %d, want in [1, 2^62]", p, s)
+		}
+	}
+}

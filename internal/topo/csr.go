@@ -29,7 +29,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
+	"sync"
 
 	"plurality/internal/rng"
 )
@@ -128,24 +130,44 @@ func (b *Builder) AddEdge(x, y int64) {
 func (b *Builder) Len() int { return len(b.edges) }
 
 // Finalize builds the CSR. The builder must not be reused afterwards.
+// The degree count and the scatter run on every core, each goroutine
+// reading the whole edge list and writing only the rows of its vertex
+// range (see forRanges); the prefix sum between them is serial. The
+// offsets double as the scatter cursor and are shifted back afterwards,
+// so no per-vertex cursor array is allocated.
 func (b *Builder) Finalize() *CSR {
 	offsets := make([]int64, b.n+1)
-	for _, e := range b.edges {
-		offsets[e>>32+1]++
-		offsets[uint32(e)+1]++
-	}
+	forRanges(b.n, func(lo, hi int64) {
+		for _, e := range b.edges {
+			if x := int64(e >> 32); x >= lo && x < hi {
+				offsets[x+1]++
+			}
+			if y := int64(uint32(e)); y >= lo && y < hi {
+				offsets[y+1]++
+			}
+		}
+	})
 	for v := int64(0); v < b.n; v++ {
 		offsets[v+1] += offsets[v]
 	}
 	neighbors := make([]int32, offsets[b.n])
-	cursor := make([]int64, b.n)
-	for _, e := range b.edges {
-		x, y := int64(e>>32), int64(uint32(e))
-		neighbors[offsets[x]+cursor[x]] = int32(y)
-		cursor[x]++
-		neighbors[offsets[y]+cursor[y]] = int32(x)
-		cursor[y]++
-	}
+	// offsets[v] is now row v's start; the scatter advances it to the
+	// row's end, which is row v+1's start.
+	forRanges(b.n, func(lo, hi int64) {
+		for _, e := range b.edges {
+			x, y := int64(e>>32), int64(uint32(e))
+			if x >= lo && x < hi {
+				neighbors[offsets[x]] = int32(y)
+				offsets[x]++
+			}
+			if y >= lo && y < hi {
+				neighbors[offsets[y]] = int32(x)
+				offsets[y]++
+			}
+		}
+	})
+	copy(offsets[1:], offsets[:b.n])
+	offsets[0] = 0
 	b.edges = nil
 	g := &CSR{GraphName: b.name, Offsets: offsets, Neighbors: neighbors}
 	sortRows(g)
@@ -153,12 +175,47 @@ func (b *Builder) Finalize() *CSR {
 }
 
 // sortRows sorts each adjacency row ascending: the canonical on-disk and
-// in-memory layout, independent of edge insertion order.
+// in-memory layout, independent of edge insertion order. Rows are sorted
+// per vertex range in parallel.
 func sortRows(g *CSR) {
-	n := g.N()
-	for v := int64(0); v < n; v++ {
-		slices.Sort(g.Neighbors[g.Offsets[v]:g.Offsets[v+1]])
+	forRanges(g.N(), func(lo, hi int64) {
+		for v := lo; v < hi; v++ {
+			slices.Sort(g.Neighbors[g.Offsets[v]:g.Offsets[v+1]])
+		}
+	})
+}
+
+// testRanges, when positive, replaces runtime.GOMAXPROCS(0) as the number
+// of ranges forRanges splits into. Only tests set it, to check that the
+// built bytes do not depend on the count.
+var testRanges int
+
+// forRanges splits the vertex range [0, n) into runtime.GOMAXPROCS(0)
+// contiguous ranges and runs fn on each in its own goroutine, returning
+// when all are done; with one range it calls fn inline. The build phases
+// that use it give each goroutine the rows of its range to write and
+// leave every rng draw serial, so a graph's bytes do not depend on the
+// number of ranges.
+func forRanges(n int64, fn func(lo, hi int64)) {
+	k := int64(runtime.GOMAXPROCS(0))
+	if testRanges > 0 {
+		k = int64(testRanges)
 	}
+	k = min(k, n)
+	if k <= 1 {
+		fn(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for i := int64(1); i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(n*i/k, n*(i+1)/k)
+		}()
+	}
+	fn(0, n/k)
+	wg.Wait()
 }
 
 // ----- binary serialization -----

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"plurality/internal/rng"
 )
@@ -39,35 +40,92 @@ func RandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 // tryRandomRegular is one pairing + repair attempt; nil means the swap
 // budget ran out (essentially impossible except at adversarial d ≈ n).
 func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
+	neighbors := pairStubs(n, d, r)
+	if !repairRows(neighbors, d, dirtyRows(neighbors, n, d), r) {
+		return nil
+	}
+	offsets := make([]int64, n+1)
+	for v := int64(0); v <= n; v++ {
+		offsets[v] = v * d
+	}
+	g := &CSR{GraphName: name, Offsets: offsets, Neighbors: neighbors}
+	sortRows(g)
+	return g
+}
+
+// pairStubs draws a configuration-model pairing and returns it as
+// fixed-stride rows (every vertex has exactly d slots: row v is
+// [v*d, v*d+d)), each row in pairing order. Loops and duplicate entries
+// are left for repairRows.
+func pairStubs(n, d int64, r *rng.Rand) []int32 {
 	total := n * d
 	neighbors := make([]int32, total)
-	func() { // scope the stub arrays so they free before the repair sweep
-		// Stub multiset: vertex v appears d times; a random pairing of
-		// stubs is stubs[2i] — stubs[2i+1].
-		stubs := make([]int32, total)
-		for v := int64(0); v < n; v++ {
-			row := stubs[v*d : v*d+d]
-			for i := range row {
-				row[i] = int32(v)
+	// Stub multiset: vertex v appears d times; a random pairing of stubs
+	// is stubs[2i] — stubs[2i+1].
+	stubs := make([]int32, total)
+	for v := int64(0); v < n; v++ {
+		row := stubs[v*d : v*d+d]
+		for i := range row {
+			row[i] = int32(v)
+		}
+	}
+	rng.Shuffle(r, stubs)
+	// Scatter the pairing into the rows. Every goroutine reads all pairs
+	// in order and writes only the rows of its vertex range, so each row
+	// keeps pairing order whatever the number of ranges.
+	cursor := make([]int32, n)
+	forRanges(n, func(lo, hi int64) {
+		for i := int64(0); i < total; i += 2 {
+			a, b := int64(stubs[i]), int64(stubs[i+1])
+			if a >= lo && a < hi {
+				neighbors[a*d+int64(cursor[a])] = int32(b)
+				cursor[a]++
+			}
+			if b >= lo && b < hi {
+				neighbors[b*d+int64(cursor[b])] = int32(a)
+				cursor[b]++
 			}
 		}
-		rng.Shuffle(r, stubs)
-		// Scatter the pairing into fixed-stride CSR rows (every vertex
-		// has exactly d slots: row v is [v*d, v*d+d)).
-		cursor := make([]int32, n)
-		for i := int64(0); i < total; i += 2 {
-			a, b := stubs[i], stubs[i+1]
-			neighbors[int64(a)*d+int64(cursor[a])] = b
-			cursor[a]++
-			neighbors[int64(b)*d+int64(cursor[b])] = a
-			cursor[b]++
-		}
-	}()
+	})
+	return neighbors
+}
 
-	// Repair: sweep vertices; each self-loop or duplicate entry is swapped
-	// with a uniformly random other edge. A successful swap never creates
-	// a new loop or duplicate anywhere (all four incident rows are
-	// checked), so one sweep converges.
+// dirtyRows lists, ascending, the rows of the fixed-stride pairing that
+// hold a self-loop or a duplicate entry. The scan is read-only and runs
+// per vertex range in parallel.
+func dirtyRows(neighbors []int32, n, d int64) []int32 {
+	var (
+		mu    sync.Mutex
+		dirty []int32
+	)
+	forRanges(n, func(lo, hi int64) {
+		var found []int32
+		for v := lo; v < hi; v++ {
+			rv := neighbors[v*d : v*d+d]
+			for i, u := range rv {
+				if int64(u) == v || slices.Contains(rv[i+1:], u) {
+					found = append(found, int32(v))
+					break
+				}
+			}
+		}
+		mu.Lock()
+		dirty = append(dirty, found...)
+		mu.Unlock()
+	})
+	slices.Sort(dirty)
+	return dirty
+}
+
+// repairRows visits the given rows in order and swaps each self-loop or
+// duplicate entry with a uniformly random other edge; false means the
+// swap budget ran out. Visiting only the rows dirtyRows lists draws
+// exactly what a sweep over every row would: a swap creates no loop, and
+// it creates a duplicate only in two rows that held loops (a loop at v
+// swapped against a loop entry at c leaves v—c twice), so a row that
+// starts clean stays clean and a sweep over it would draw nothing.
+func repairRows(neighbors []int32, d int64, rows []int32, r *rng.Rand) bool {
+	total := int64(len(neighbors))
 	budget := 200*d*d + 10_000
 	row := func(v int32) []int32 { return neighbors[int64(v)*d : int64(v)*d+d] }
 	isBad := func(v int32, slot int64) bool {
@@ -101,11 +159,11 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 		}
 		panic("topo: repair lost an edge mirror")
 	}
-	for v := int32(0); int64(v) < n; v++ {
+	for _, v := range rows {
 		for slot := int64(0); slot < d; slot++ {
 			for isBad(v, slot) {
 				if budget <= 0 {
-					return nil
+					return false
 				}
 				budget--
 				p := r.Int63n(total)
@@ -127,14 +185,7 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 			}
 		}
 	}
-
-	offsets := make([]int64, n+1)
-	for v := int64(0); v <= n; v++ {
-		offsets[v] = v * d
-	}
-	g := &CSR{GraphName: name, Offsets: offsets, Neighbors: neighbors}
-	sortRows(g)
-	return g
+	return true
 }
 
 // LegacyRandomRegular is the historical random d-regular generator
@@ -518,18 +569,26 @@ func Barbell(name string, n, d int64, r *rng.Rand) *CSR {
 	return g
 }
 
+// maxSkip saturates geometricSkip: it is past the end of every row walk
+// (at most n² < 2^62 cells), and adding it to a position in a walk cannot
+// overflow an int64.
+const maxSkip = int64(1) << 62
+
 // geometricSkip returns 1 + Geometric(p): the gap to the next success in a
-// Bernoulli(p) sequence.
+// Bernoulli(p) sequence, saturated at maxSkip. Below p ≈ 1.1e-16, 1-p
+// rounds to 1 and the quotient is -Inf (and just above it the quotient
+// can exceed the int64 range); converting either would wrap to a
+// negative skip, so such quotients return maxSkip, which ends the walk.
 func geometricSkip(r *rng.Rand, p float64) int64 {
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	s := int64(math.Log(u)/math.Log(1-p)) + 1
-	if s < 1 {
-		s = 1
+	q := math.Log(u) / math.Log(1-p)
+	if !(q >= 0 && q < float64(maxSkip)) {
+		return maxSkip
 	}
-	return s
+	return int64(q) + 1
 }
 
 // ----- implicit families (O(1) memory, structure computed on the fly) -----

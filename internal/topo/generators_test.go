@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"slices"
@@ -304,5 +306,75 @@ func BenchmarkRandomRegular(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		RandomRegular("regular:8", 1_000_000, 8, rng.New(uint64(i)+1))
+	}
+}
+
+// BenchmarkBuilderFinalize finalizes 4·10^6 random edges on n = 10^6
+// vertices: degree count, prefix sum, scatter into rows and row sort.
+func BenchmarkBuilderFinalize(b *testing.B) {
+	const n, m = 1_000_000, 4_000_000
+	r := rng.New(1)
+	edges := make([]uint64, 0, m)
+	for len(edges) < m {
+		x, y := r.Int63n(n), r.Int63n(n)
+		if x != y {
+			edges = append(edges, uint64(x)<<32|uint64(y))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bld := NewBuilder("bench", n)
+		bld.edges = slices.Clone(edges)
+		b.StartTimer()
+		bld.Finalize()
+	}
+}
+
+// TestBuildBytesPinned pins the serialized bytes (sha256 of WriteTo) and
+// the next rng word after the build for one spec per materialized family
+// at fixed seeds. The constants were recorded from the serial builder, so
+// any change to how a CSR is built — parallel phases included — must
+// reproduce them exactly.
+func TestBuildBytesPinned(t *testing.T) {
+	cases := []struct {
+		spec   string
+		n      int64
+		seed   uint64
+		sha256 string
+		next   uint64
+	}{
+		{"regular:8", 1_000_000, 1,
+			"a95bad355bca6cdd2a3b0bcc43ebe613aa1c406b85a5375bf6808e89ba4742e8", 0xeb37db48d4c31a7f},
+		{"regular:3", 10_000, 2,
+			"278e21876eae68a55bf7fb4400e67e04837a437951625d5fb8e8622f93a65aa9", 0xc66bf15e70e390d8},
+		{"regular:40", 64, 3,
+			"c51293a87f43774bd9f6bd3a3c83e066f415d4fb8ebeb8bc3a272ef250a45063", 0x8f61bab9b015907e},
+		{"gnp:0.001", 20_000, 4,
+			"89c4ff85f249fa01f03b5af092730f1126c13db07860b0548fe06ac42813789d", 0xb0a246b331181ca4},
+		{"smallworld:8:0.1", 50_000, 5,
+			"3e2b18d6d65ced396e7455478f34744506de752d29880287be4edeb4fabaa9e6", 0x409e441ea2e2bfb4},
+		{"ba:3", 50_000, 6,
+			"caaae87747dac247618075ace00e33ba0cb2c0d67875b470fe85699724c7e832", 0xb5c88a5f97ebb8cb},
+		{"sbm:4:0.01:0.0005", 8_000, 7,
+			"3fee3b2c61a11b4e64eaff91e68ed5805732dfe298d55b3f1b38e598c1f81d2e", 0xe57724ef2aa9f28d},
+		{"barbell:4", 20_000, 8,
+			"b0ef394b557832b9d362fab59e27f6e7d2dcba0019c73394172a88527059f827", 0xc8b25330ca3b2d5d},
+	}
+	for _, tc := range cases {
+		r := rng.New(tc.seed)
+		g, err := BuildSource(tc.spec, tc.n, r, BuildOpts{Mode: ModeCSR})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		h := sha256.New()
+		if _, err := g.(*CSR).WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+		sum, next := hex.EncodeToString(h.Sum(nil)), r.Uint64()
+		if sum != tc.sha256 || next != tc.next {
+			t.Errorf("%s n=%d seed=%d: sha256 %s next %#x, want %s next %#x", tc.spec, tc.n, tc.seed, sum, next, tc.sha256, tc.next)
+		}
 	}
 }
